@@ -1,7 +1,8 @@
 """Exact scalar arithmetic in the field Q(i, sqrt2).
 
 An ``ExactScalar`` is q0 + q1*i + q2*sqrt2 + q3*i*sqrt2 with rational
-coefficients. This field is closed under every beam-splitter factor used
+coefficients, stored as four int numerators over one shared int
+denominator. This field is closed under every beam-splitter factor used
 here (1/sqrt2 and i), so circuit amplitudes never need rounding. A plain
 ``complex`` serves as the floating-point mirror; the helpers at the bottom
 of this module dispatch on the scalar type so that the rest of the package
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnrepresentableError
@@ -22,94 +22,115 @@ FLOAT = "float"
 
 FLOAT_TOL = 1e-12
 
-_Coercible = (int, Fraction)
 
-
-@dataclass(frozen=True)
 class ExactScalar:
-    """Element of Q(i, sqrt2), stored as four rational coefficients."""
+    """Element of Q(i, sqrt2): (n0 + n1*i + n2*sqrt2 + n3*i*sqrt2) / d.
 
-    q0: Fraction = Fraction(0)
-    q1: Fraction = Fraction(0)
-    q2: Fraction = Fraction(0)
-    q3: Fraction = Fraction(0)
+    ``ints`` holds the five Python ints (n0, n1, n2, n3, d) in canonical
+    form: d > 0 and gcd(n0, n1, n2, n3, d) == 1. Every result is reduced to
+    that form, so equal values have equal ``ints``. Instances are immutable.
+    The rational coefficients are read as ``q0..q3``.
+    """
+
+    __slots__ = ("ints",)
+
+    def __new__(cls, q0=0, q1=0, q2=0, q3=0):
+        if type(q0) is type(q1) is type(q2) is type(q3) is int:
+            return _make(q0, q1, q2, q3, 1)
+        # ints and Fractions both carry .numerator and .denominator
+        qs = [q if isinstance(q, (int, Fraction)) else Fraction(q)
+              for q in (q0, q1, q2, q3)]
+        dens = [q.denominator for q in qs]
+        d = math.lcm(*dens)
+        return _make(*[q.numerator * (d // e) for q, e in zip(qs, dens)], d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ExactScalar is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ExactScalar is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (_make, self.ints)
+
+    def __repr__(self) -> str:
+        return (f"ExactScalar(q0={self.q0!r}, q1={self.q1!r}, "
+                f"q2={self.q2!r}, q3={self.q3!r})")
+
+    q0 = property(lambda self: Fraction(self.ints[0], self.ints[4]))
+    q1 = property(lambda self: Fraction(self.ints[1], self.ints[4]))
+    q2 = property(lambda self: Fraction(self.ints[2], self.ints[4]))
+    q3 = property(lambda self: Fraction(self.ints[3], self.ints[4]))
 
     @classmethod
     def from_fraction(cls, q) -> "ExactScalar":
-        return cls(Fraction(q))
+        return cls(q)
 
     @classmethod
     def i(cls) -> "ExactScalar":
-        return cls(q1=Fraction(1))
+        return cls(q1=1)
 
     @classmethod
     def sqrt2(cls) -> "ExactScalar":
-        return cls(q2=Fraction(1))
+        return cls(q2=1)
 
     @classmethod
     def inv_sqrt2(cls) -> "ExactScalar":
         # 1/sqrt2 = sqrt2/2
         return cls(q2=Fraction(1, 2))
 
-    def _coerce(self, other):
-        if isinstance(other, ExactScalar):
-            return other
-        if isinstance(other, _Coercible):
-            return ExactScalar.from_fraction(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is ExactScalar else _coerce(other)
         if o is None:
             return NotImplemented
-        return ExactScalar(self.q0 + o.q0, self.q1 + o.q1,
-                           self.q2 + o.q2, self.q3 + o.q3)
+        a0, a1, a2, a3, ad = self.ints
+        b0, b1, b2, b3, bd = o.ints
+        if ad == bd:
+            return _make(a0 + b0, a1 + b1, a2 + b2, a3 + b3, ad)
+        return _make(a0 * bd + b0 * ad, a1 * bd + b1 * ad,
+                     a2 * bd + b2 * ad, a3 * bd + b3 * ad, ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(-self.q0, -self.q1, -self.q2, -self.q3)
+        n0, n1, n2, n3, d = self.ints
+        return _make(-n0, -n1, -n2, -n3, d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self + -o
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is ExactScalar else _coerce(other)
         if o is None:
             return NotImplemented
-        # Write x = A + B*sqrt2 with A, B Gaussian rationals; sqrt2^2 = 2.
-        a_re, a_im, b_re, b_im = self.q0, self.q1, self.q2, self.q3
-        c_re, c_im, d_re, d_im = o.q0, o.q1, o.q2, o.q3
-        ac_re = a_re * c_re - a_im * c_im
-        ac_im = a_re * c_im + a_im * c_re
-        bd_re = b_re * d_re - b_im * d_im
-        bd_im = b_re * d_im + b_im * d_re
-        ad_re = a_re * d_re - a_im * d_im
-        ad_im = a_re * d_im + a_im * d_re
-        bc_re = b_re * c_re - b_im * c_im
-        bc_im = b_re * c_im + b_im * c_re
-        return ExactScalar(ac_re + 2 * bd_re, ac_im + 2 * bd_im,
-                           ad_re + bc_re, ad_im + bc_im)
+        # Write x = A + B*sqrt2 with A, B Gaussian; sqrt2^2 = 2.
+        a0, a1, a2, a3, ad = self.ints
+        b0, b1, b2, b3, bd = o.ints
+        return _make(a0 * b0 - a1 * b1 + 2 * (a2 * b2 - a3 * b3),
+                     a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
+                     a0 * b2 - a1 * b3 + a2 * b0 - a3 * b1,
+                     a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+                     ad * bd)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
@@ -117,45 +138,52 @@ class ExactScalar:
     def inverse(self) -> "ExactScalar":
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
         # 1/(A + B*sqrt2) = (A - B*sqrt2) / (A^2 - 2 B^2), both steps Gaussian.
-        conj2 = ExactScalar(self.q0, self.q1, -self.q2, -self.q3)
-        denom = self * conj2  # Gaussian rational: q2 = q3 = 0
-        d_re, d_im = denom.q0, denom.q1
-        mag = d_re * d_re + d_im * d_im
+        n0, n1, n2, n3, d = self.ints
+        conj2 = _make(n0, n1, -n2, -n3, d)
+        g0, g1, _, _, gd = (self * conj2).ints
+        mag = g0 * g0 + g1 * g1
         if mag == 0:
             raise ZeroDivisionError("inverse of zero ExactScalar")
-        inv_gauss = ExactScalar(d_re / mag, -d_im / mag)
-        return conj2 * inv_gauss
+        # 1/((g0 + g1 i)/gd) = gd (g0 - g1 i) / (g0^2 + g1^2)
+        return conj2 * _make(gd * g0, -gd * g1, 0, 0, mag)
 
     def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.q0, -self.q1, self.q2, -self.q3)
+        n0, n1, n2, n3, d = self.ints
+        return _make(n0, -n1, n2, -n3, d)
 
     def norm_sq(self) -> "ExactScalar":
         """self * conj(self); i-parts are always zero."""
         return self * self.conjugate()
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
+        o = other if type(other) is ExactScalar else _coerce(other)
         if o is None:
             return NotImplemented
-        return (self.q0, self.q1, self.q2, self.q3) == (o.q0, o.q1, o.q2, o.q3)
+        return self.ints == o.ints
 
     def __hash__(self):
-        return hash((self.q0, self.q1, self.q2, self.q3))
+        n0, n1, n2, n3, d = self.ints
+        if n1 or n2 or n3:
+            return hash(self.ints)
+        # Rational values hash as the int or Fraction they compare equal to.
+        return hash(Fraction(n0, d))
 
     def is_zero(self) -> bool:
-        return not (self.q0 or self.q1 or self.q2 or self.q3)
+        return self.ints == _ZERO_INTS
 
     def as_fraction(self) -> Fraction:
         """The value as a plain rational; raises if i or sqrt2 parts remain."""
-        if self.q1 or self.q2 or self.q3:
+        n0, n1, n2, n3, d = self.ints
+        if n1 or n2 or n3:
             raise UnrepresentableError(f"{self} is not a plain rational")
-        return self.q0
+        return Fraction(n0, d)
 
     def to_complex(self) -> complex:
+        # int / int is correctly rounded, as float(Fraction) is.
+        n0, n1, n2, n3, d = self.ints
         try:
             r2 = math.sqrt(2.0)
-            return complex(float(self.q0) + float(self.q2) * r2,
-                           float(self.q1) + float(self.q3) * r2)
+            return complex(n0 / d + n2 / d * r2, n1 / d + n3 / d * r2)
         except OverflowError as exc:
             raise UnrepresentableError(f"overflow converting {self!r}") from exc
 
@@ -191,31 +219,59 @@ class ExactScalar:
         return self.to_string()
 
 
+_ZERO_INTS = (0, 0, 0, 0, 1)
+_new_scalar = object.__new__
+_set_ints = ExactScalar.ints.__set__
+
+
+def _make(n0, n1, n2, n3, d) -> ExactScalar:
+    """The scalar (n0 + n1*i + n2*sqrt2 + n3*i*sqrt2) / d, for d > 0,
+    reduced to canonical form."""
+    g = math.gcd(n0, n1, n2, n3, d)
+    if g != 1:
+        n0, n1, n2, n3, d = n0 // g, n1 // g, n2 // g, n3 // g, d // g
+    x = _new_scalar(ExactScalar)
+    _set_ints(x, (n0, n1, n2, n3, d))
+    return x
+
+
+def _coerce(x):
+    """x as an ExactScalar if it is one, an int or a Fraction; else None."""
+    if isinstance(x, ExactScalar):
+        return x
+    if isinstance(x, int):
+        return _make(x, 0, 0, 0, 1)
+    if isinstance(x, Fraction):
+        return _make(x.numerator, 0, 0, 0, x.denominator)
+    return None
+
+
 ZERO = ExactScalar()
 ONE = ExactScalar.from_fraction(1)
 I = ExactScalar.i()
 INV_SQRT2 = ExactScalar.inv_sqrt2()
 
 
-def _fraction_sqrt(q: Fraction):
-    """sqrt of a non-negative rational, or None if irrational."""
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
+def _rational_sqrt(n: int, d: int):
+    """(a, b) with a/b = sqrt(n/d), for n/d >= 0 in lowest terms, or None
+    if that square root is irrational."""
+    a, b = math.isqrt(n), math.isqrt(d)
+    if a * a == n and b * b == d:
+        return a, b
     return None
 
 
 def exact_sqrt(q: Fraction) -> ExactScalar:
     """sqrt(q) as an ExactScalar; only q = r^2 or q = 2 r^2 are in the field."""
-    r = _fraction_sqrt(q)
-    if r is not None:
-        return ExactScalar(r)
-    r = _fraction_sqrt(q / 2)
-    if r is not None:
-        return ExactScalar(q2=r)
+    n, d = q.numerator, q.denominator
+    if n >= 0:
+        r = _rational_sqrt(n, d)
+        if r is not None:
+            return _make(r[0], 0, 0, 0, r[1])
+        # sqrt(q) = sqrt(q/2) * sqrt2, with q/2 in lowest terms
+        r = _rational_sqrt(n // 2, d) if n % 2 == 0 else _rational_sqrt(n, 2 * d)
+        if r is not None:
+            return _make(0, 0, r[0], 0, r[1])
     raise UnrepresentableError(f"sqrt({q}) is not in Q(i, sqrt2)")
 
 
@@ -255,10 +311,11 @@ def real_part(x):
     """The value as an exact real: Fraction when rational, else a real
     ExactScalar carrying a sqrt2 part. Raises if an imaginary part remains."""
     if isinstance(x, ExactScalar):
-        if x.q1 or x.q3:
+        n0, n1, n2, n3, d = x.ints
+        if n1 or n3:
             raise UnrepresentableError(f"{x} has a nonzero imaginary part")
-        if x.q2 == 0:
-            return x.q0
+        if n2 == 0:
+            return Fraction(n0, d)
         return x
     return x.real
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -64,17 +65,36 @@ CSV_FIELDS = ["config", "detector_plus", "detector_minus",
               "prob_exact", "prob_float", "conditional"]
 
 
+def _write_atomic(path: str, write):
+    """Call write(fh) on a temp file beside path, then rename it over path,
+    so a failed write leaves no partial file; OSError becomes ConfigError."""
+    target = os.path.abspath(path)
+    tmp = os.path.join(os.path.dirname(target),
+                       f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, target)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def _write_csv(path: str, records):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    def write(fh):
         writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
         writer.writeheader()
         writer.writerows(records)
+    _write_atomic(path, write)
 
 
 def _write_json(path: str, payload):
-    with open(path, "w", encoding="utf-8") as fh:
+    def write(fh):
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+    _write_atomic(path, write)
 
 
 def _load_config(path: str) -> hardy.ScenarioConfig:
@@ -86,14 +106,19 @@ def _load_config(path: str) -> hardy.ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     try:
-        bs2_plus = bool(raw["bs2_plus"])
-        bs2_minus = bool(raw["bs2_minus"])
+        bs2_plus = raw["bs2_plus"]
+        bs2_minus = raw["bs2_minus"]
     except KeyError as exc:
         raise ConfigError(f"config missing field {exc}") from exc
+    for name, value in (("bs2_plus", bs2_plus), ("bs2_minus", bs2_minus)):
+        if not isinstance(value, bool):
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
     p_raw = raw.get("reaction_probability", raw.get("p", 1))
+    if isinstance(p_raw, bool):  # Fraction(True) would read as p = 1
+        raise ConfigError(f"bad reaction probability {p_raw!r}")
     try:
         p = Fraction(p_raw) if isinstance(p_raw, str) else Fraction(p_raw)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad reaction probability {p_raw!r}") from exc
     backend = raw.get("backend", EXACT)
     if backend not in (EXACT, FLOAT):

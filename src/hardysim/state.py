@@ -131,7 +131,10 @@ class StateVector:
                 kept = kept + a * amp.conj(a)
         if self.backend == EXACT:
             return amp.real_part(kept / self._norm_sq)
-        return kept.real / self._norm_sq.real
+        norm = self._norm_sq.real
+        if norm == 0.0:
+            raise EmptyStateError("squared norm underflows to 0.0")
+        return kept.real / norm
 
     def dump(self) -> str:
         """Canonical text form, one ket per line in basis order."""

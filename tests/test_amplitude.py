@@ -1,6 +1,8 @@
 """Exact field arithmetic in Q(i, sqrt2)."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -93,6 +95,12 @@ class TestExactSqrt:
         with pytest.raises(UnrepresentableError):
             exact_sqrt(frac(-1))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(min_value=0, max_value=1000, max_denominator=1000))
+    def test_squares_and_twice_squares(self, r):
+        assert exact_sqrt(r * r) == ExactScalar(r)
+        assert exact_sqrt(2 * r * r) == ExactScalar(q2=r)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("value, text", [
@@ -143,3 +151,118 @@ def test_float_mirror_respects_operations(a, b):
     za, zb = a.to_complex(), b.to_complex()
     assert abs((a + b).to_complex() - (za + zb)) <= 1e-12 * max(1.0, abs(za + zb))
     assert abs((a * b).to_complex() - (za * zb)) <= 1e-12 * max(1.0, abs(za * zb))
+
+
+# ---------------------------------------------------------------------------
+# The integer representation, checked against a plain Fraction-coefficient
+# reference that shares no code with ExactScalar.
+# ---------------------------------------------------------------------------
+
+class RefScalar:
+    """q0 + q1*i + q2*sqrt2 + q3*i*sqrt2 held as four Fractions."""
+
+    def __init__(self, q0, q1, q2, q3):
+        self.q = (Fraction(q0), Fraction(q1), Fraction(q2), Fraction(q3))
+
+    def __add__(self, o):
+        return RefScalar(*(x + y for x, y in zip(self.q, o.q)))
+
+    def __sub__(self, o):
+        return RefScalar(*(x - y for x, y in zip(self.q, o.q)))
+
+    def __mul__(self, o):
+        a0, a1, a2, a3 = self.q
+        b0, b1, b2, b3 = o.q
+        return RefScalar(a0 * b0 - a1 * b1 + 2 * a2 * b2 - 2 * a3 * b3,
+                         a0 * b1 + a1 * b0 + 2 * a2 * b3 + 2 * a3 * b2,
+                         a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1,
+                         a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1)
+
+    def inverse(self):
+        # multiply by the sqrt2-conjugate, then by the complex conjugate
+        a0, a1, a2, a3 = self.q
+        conj2 = RefScalar(a0, a1, -a2, -a3)
+        g0, g1, _, _ = (self * conj2).q
+        mag = g0 * g0 + g1 * g1
+        return conj2 * RefScalar(g0 / mag, -g1 / mag, 0, 0)
+
+
+ref_coeffs = st.one_of(st.just(Fraction(0)),
+                       st.fractions(min_value=-1000, max_value=1000,
+                                    max_denominator=60))
+coeff_lists = st.lists(ref_coeffs, min_size=4, max_size=4)
+
+
+def assert_canonical(x):
+    n0, n1, n2, n3, d = x.ints
+    assert all(type(n) is int for n in x.ints)
+    assert d > 0
+    assert math.gcd(n0, n1, n2, n3, d) == 1
+
+
+def assert_matches(x, ref):
+    assert_canonical(x)
+    assert (x.q0, x.q1, x.q2, x.q3) == ref.q
+    assert all(type(q) is Fraction for q in (x.q0, x.q1, x.q2, x.q3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeff_lists, coeff_lists)
+def test_differential_against_fraction_reference(ca, cb):
+    a, b = ExactScalar(*ca), ExactScalar(*cb)
+    ra, rb = RefScalar(*ca), RefScalar(*cb)
+    assert_matches(a, ra)
+    assert_matches(a + b, ra + rb)
+    assert_matches(a - b, ra - rb)
+    assert_matches(-a, RefScalar(0, 0, 0, 0) - ra)
+    assert_matches(a * b, ra * rb)
+    assert (a == b) == (ra.q == rb.q)
+    if any(ra.q):
+        assert_matches(a.inverse(), ra.inverse())
+    # equal values built along different routes are equal and hash alike
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+
+
+class TestRepresentation:
+    def test_zero_and_one_are_canonical(self):
+        assert ZERO.ints == (0, 0, 0, 0, 1)
+        assert ONE.ints == (1, 0, 0, 0, 1)
+        assert INV_SQRT2.ints == (0, 0, 1, 0, 2)
+
+    def test_reduction_to_lowest_terms(self):
+        x = ExactScalar(frac(2, 4), frac(-6, 8), frac(0), frac(10, 4))
+        assert x.ints == (2, -3, 0, 10, 4)
+        assert (x + x).ints == (2, -3, 0, 10, 2)
+        assert (x - x).ints == (0, 0, 0, 0, 1)
+
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-7, 3),
+                                   Fraction(5), 0, 1, -4])
+    def test_rationals_equal_and_hash_as_int_or_fraction(self, q):
+        x = ExactScalar(q)
+        assert x == q and q == x
+        assert hash(x) == hash(q)
+        assert x.as_fraction() == q and type(x.as_fraction()) is Fraction
+
+    def test_irrational_never_equals_a_rational(self):
+        assert INV_SQRT2 != Fraction(1, 2)
+        assert I != 1
+
+    def test_copy_and_pickle_round_trip(self):
+        x = ExactScalar(frac(1, 2), frac(-3), frac(0), frac(2, 7))
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and hash(y) == hash(x)
+            assert y.ints == x.ints and type(y) is ExactScalar
+
+    def test_repr_shows_fraction_coefficients(self):
+        assert repr(INV_SQRT2) == ("ExactScalar(q0=Fraction(0, 1), q1=Fraction(0, 1), "
+                                   "q2=Fraction(1, 2), q3=Fraction(0, 1))")
+
+    @pytest.mark.parametrize("name", ["ints", "q0", "q3", "extra"])
+    def test_attributes_cannot_be_set(self, name):
+        x = ExactScalar(frac(1, 2))
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+        assert x.ints == (1, 0, 0, 0, 2)

@@ -59,6 +59,26 @@ class TestRun:
                            reaction_probability="1/2")
         assert main(["run", "--config", cfg]) == 0
 
+    @pytest.mark.parametrize("fields", [
+        {"bs2_plus": "false", "bs2_minus": "false"},
+        {"bs2_plus": True, "bs2_minus": 0},
+        {"bs2_plus": 1, "bs2_minus": True},
+        {"bs2_plus": None, "bs2_minus": False},
+    ])
+    def test_non_boolean_layout_exits_2(self, tmp_path, capsys, fields):
+        cfg = write_config(tmp_path, p=1, **fields)
+        assert main(["run", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("p_text", ["1e400", "true"])
+    def test_overflowing_or_boolean_p_exits_2(self, tmp_path, capsys, p_text):
+        path = tmp_path / "config.json"
+        path.write_text('{"bs2_plus": true, "bs2_minus": true, "p": %s}' % p_text)
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestExports:
     def test_csv_round_trip(self, tmp_path, capsys):
@@ -105,6 +125,33 @@ class TestExports:
                  r["prob_exact"] for r in payload["rows"]}
         assert Fraction(probs[("d", "d", "true")]) == Fraction(1, 12)
         assert Fraction(probs[("gamma", "gamma", "false")]) == Fraction(1, 4)
+
+
+    @pytest.mark.parametrize("flag", ["--csv", "--json"])
+    def test_unwritable_export_exits_2(self, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True, p="1")
+        target = tmp_path / "missing" / "out"
+        assert main(["run", "--config", cfg, flag, str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+        assert not target.parent.exists()
+
+    def test_failed_export_leaves_no_partial_file(self, tmp_path, capsys,
+                                                  monkeypatch):
+        cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True, p="1")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        target = out_dir / "table.json"
+        target.write_text("previous export\n")
+
+        def dump_then_fail(payload, fh, **kwargs):
+            fh.write('{"config": ')
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("hardysim.cli.json.dump", dump_then_fail)
+        assert main(["run", "--config", cfg, "--json", str(target)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+        assert target.read_text() == "previous export\n"
+        assert [p.name for p in out_dir.iterdir()] == ["table.json"]
 
 
 class TestTable:

@@ -88,6 +88,13 @@ class TestProbability:
         with pytest.raises(EmptyStateError):
             StateVector({}).probability(lambda k: True)
 
+    def test_underflowed_float_norm_raises(self):
+        # |1e-170|^2 underflows to 0.0 although the amplitude is nonzero
+        sv = StateVector({ket(u, u): complex(1e-170)}, amp.FLOAT)
+        assert not sv.is_zero()
+        with pytest.raises(EmptyStateError):
+            sv.probability(lambda k: True)
+
     def test_partition_sums_to_one(self):
         rng = random.Random(7)
         for _ in range(50):

@@ -309,7 +309,8 @@ def conj(x):
 
 def real_part(x):
     """The value as an exact real: Fraction when rational, else a real
-    ExactScalar carrying a sqrt2 part. Raises if an imaginary part remains."""
+    ExactScalar carrying a sqrt2 part. Raises if an imaginary part remains;
+    on the float backend, one above FLOAT_TOL * max(1, |real part|)."""
     if isinstance(x, ExactScalar):
         n0, n1, n2, n3, d = x.ints
         if n1 or n3:
@@ -317,6 +318,8 @@ def real_part(x):
         if n2 == 0:
             return Fraction(n0, d)
         return x
+    if abs(x.imag) > FLOAT_TOL * max(1.0, abs(x.real)):
+        raise UnrepresentableError(f"{x} has a nonzero imaginary part")
     return x.real
 
 

@@ -66,7 +66,10 @@ class BosonicState:
             for a in self.amps.values():
                 norm = norm + a * amp.conj(a)
             return amp.real_part(kept / norm)
-        return kept.real / self.norm_sq()
+        norm = self.norm_sq()
+        if norm == 0.0:
+            raise EmptyStateError("squared norm underflows to 0.0")
+        return kept.real / norm
 
 
 def _sqrt_ratio(num: int, den: int, backend: str):

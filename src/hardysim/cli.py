@@ -7,13 +7,12 @@ Exit codes: 0 success, 2 usage or config-file errors, 3 domain errors
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from fractions import Fraction
 
-from . import bosonic, hardy, lhv
+from . import hardy
 from .amplitude import EXACT, FLOAT, ExactScalar
 from .errors import SimulationError
 
@@ -83,6 +82,8 @@ def _write_atomic(path: str, write):
 
 
 def _write_csv(path: str, records):
+    import csv
+
     def write(fh):
         writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
         writer.writeheader()
@@ -172,11 +173,13 @@ def cmd_table(args) -> int:
 
 
 def cmd_lhv_audit(args) -> int:
+    from . import lhv
     print(lhv.audit_report())
     return EXIT_OK
 
 
 def cmd_hom(args) -> int:
+    from . import bosonic
     prob = bosonic.hom_coincidence_probability()
     dist = bosonic.distinguishable_coincidence_probability()
     print("Hong-Ou-Mandel: |1,1> through one 50/50 beam splitter")

@@ -8,9 +8,8 @@ detector coincidence table over {c, d} x {c, d} plus the photon branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple, Union
+from typing import Dict, NamedTuple, Tuple, Union
 
 from . import measurement, optics
 from .amplitude import EXACT, FLOAT
@@ -24,26 +23,32 @@ DETECTORS = ("c", "d")
 _DET_LABEL = {"c": PathLabel.c, "d": PathLabel.d}
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class _ScenarioFields(NamedTuple):
     bs2_plus: bool
     bs2_minus: bool
-    reaction_prob: Fraction = Fraction(1)
-    backend: str = EXACT
+    reaction_prob: Fraction
+    backend: str
 
-    def __post_init__(self):
-        if not (0 <= self.reaction_prob <= 1):
+
+class ScenarioConfig(_ScenarioFields):
+    """One layout, reaction probability and backend; validated on creation."""
+
+    __slots__ = ()
+
+    def __new__(cls, bs2_plus: bool, bs2_minus: bool,
+                reaction_prob: Fraction = Fraction(1), backend: str = EXACT):
+        if not (0 <= reaction_prob <= 1):
             raise SimulationError(
-                f"reaction probability {self.reaction_prob} outside [0, 1]")
-        if self.backend not in (EXACT, FLOAT):
-            raise SimulationError(f"unknown backend {self.backend!r}")
+                f"reaction probability {reaction_prob} outside [0, 1]")
+        if backend not in (EXACT, FLOAT):
+            raise SimulationError(f"unknown backend {backend!r}")
+        return super().__new__(cls, bs2_plus, bs2_minus, reaction_prob, backend)
 
     @property
     def key(self) -> str:
         return ("I" if self.bs2_plus else "O") + ("I" if self.bs2_minus else "O")
 
 
-@dataclass
 class OutcomeTable:
     """Coincidence probabilities per detector pair, plus the photon weight.
 
@@ -51,10 +56,23 @@ class OutcomeTable:
     otherwise rows + gamma_prob sum to 1.
     """
 
-    rows: Dict[Tuple[str, str], Union[Fraction, float]]
-    gamma_prob: Union[Fraction, float]
-    conditional: bool
-    config: str = ""
+    def __init__(self, rows: Dict[Tuple[str, str], Union[Fraction, float]],
+                 gamma_prob: Union[Fraction, float], conditional: bool,
+                 config: str = ""):
+        self.rows = rows
+        self.gamma_prob = gamma_prob
+        self.conditional = conditional
+        self.config = config
+
+    def __repr__(self) -> str:
+        return (f"OutcomeTable(rows={self.rows!r}, gamma_prob={self.gamma_prob!r}, "
+                f"conditional={self.conditional!r}, config={self.config!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.rows, self.gamma_prob, self.conditional, self.config)
+                == (other.rows, other.gamma_prob, other.conditional, other.config))
 
     def prob(self, det_plus: str, det_minus: str):
         return self.rows[(det_plus, det_minus)]

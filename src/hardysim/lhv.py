@@ -12,9 +12,8 @@ audit therefore just enumerates all 16.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import hardy
 
@@ -26,8 +25,7 @@ Outcome = Tuple[str, str]      # (e+ detector, e- detector), each "c"/"d"
 _KEY = {(OUT, OUT): "OO", (IN, OUT): "IO", (OUT, IN): "OI", (IN, IN): "II"}
 
 
-@dataclass(frozen=True)
-class LocalStrategy:
+class LocalStrategy(NamedTuple):
     """Predetermined outcomes: a_* for the positron, b_* for the electron."""
 
     a_in: str
@@ -51,8 +49,7 @@ def all_strategies() -> List[LocalStrategy]:
             for combo in itertools.product("cd", repeat=4)]
 
 
-@dataclass
-class ConstraintSet:
+class ConstraintSet(NamedTuple):
     """Quantum facts an LHV model must reproduce.
 
     zero_events: (setting, outcome) pairs with probability exactly 0.
@@ -80,12 +77,23 @@ def quantum_constraints() -> ConstraintSet:
     return ConstraintSet(zero_events, (target[0], target[1], prob))
 
 
-@dataclass
-class Verdict:
+class _VerdictFields(NamedTuple):
     contradiction: bool
     surviving_strategies: List[LocalStrategy]
-    eliminations: Dict[LocalStrategy, Tuple[Setting, Outcome]] = field(
-        default_factory=dict)
+    eliminations: Dict[LocalStrategy, Tuple[Setting, Outcome]]
+
+
+class Verdict(_VerdictFields):
+    """Audit result; eliminations maps each killed strategy to its zero event."""
+
+    __slots__ = ()
+
+    def __new__(cls, contradiction: bool,
+                surviving_strategies: List[LocalStrategy],
+                eliminations: Optional[Dict[LocalStrategy,
+                                            Tuple[Setting, Outcome]]] = None):
+        return super().__new__(cls, contradiction, surviving_strategies,
+                               {} if eliminations is None else eliminations)
 
 
 def audit(cs: ConstraintSet) -> Verdict:

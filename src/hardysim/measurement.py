@@ -11,7 +11,6 @@ acts on density matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Tuple
 
@@ -23,17 +22,17 @@ from .state import ABSORBED, BasisKet, DensityMatrix, PathLabel, StateVector
 DOOMED = BasisKet.pair(PathLabel.u, PathLabel.u)
 
 
-@dataclass(frozen=True)
 class KnowledgeProjector:
     """Projector onto the kets whose outcome is compatible with 'no photon'."""
 
-    kept: FrozenSet[BasisKet]
+    __slots__ = ("kept",)
 
-    def __post_init__(self):
-        if not self.kept:
+    def __init__(self, kept: FrozenSet[BasisKet]):
+        if not kept:
             raise SimulationError("projector kept-set is empty")
-        if ABSORBED in self.kept:
+        if ABSORBED in kept:
             raise SimulationError("the absorbed ket cannot be kept")
+        self.kept = kept
 
 
 def hardy_projector() -> KnowledgeProjector:
@@ -63,7 +62,6 @@ def project_knowledge(sv: StateVector,
     return projected, survival
 
 
-@dataclass(frozen=True)
 class AnnihilationChannel:
     """Two-outcome channel: damp the doomed ket, or absorb it into the sink.
 
@@ -73,20 +71,18 @@ class AnnihilationChannel:
     The sign of the absorbed branch is unobservable here; +sqrt(p) is used.
     """
 
-    p: Fraction
-    backend: str = EXACT
-    doomed: BasisKet = DOOMED
-    gamma: BasisKet = ABSORBED
-    sqrt_p: object = field(init=False, repr=False)
-    sqrt_1mp: object = field(init=False, repr=False)
+    __slots__ = ("p", "backend", "doomed", "gamma", "sqrt_p", "sqrt_1mp")
 
-    def __post_init__(self):
-        if not (0 <= self.p <= 1):
-            raise SimulationError(f"reaction probability {self.p} outside [0, 1]")
-        object.__setattr__(self, "sqrt_p",
-                           amp.scalar_sqrt(self.p, self.backend))
-        object.__setattr__(self, "sqrt_1mp",
-                           amp.scalar_sqrt(1 - self.p, self.backend))
+    def __init__(self, p: Fraction, backend: str = EXACT,
+                 doomed: BasisKet = DOOMED, gamma: BasisKet = ABSORBED):
+        if not (0 <= p <= 1):
+            raise SimulationError(f"reaction probability {p} outside [0, 1]")
+        self.p = p
+        self.backend = backend
+        self.doomed = doomed
+        self.gamma = gamma
+        self.sqrt_p = amp.scalar_sqrt(p, backend)
+        self.sqrt_1mp = amp.scalar_sqrt(1 - p, backend)
 
     def pass_map(self):
         one = amp.scalar_one(self.backend)

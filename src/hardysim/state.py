@@ -14,8 +14,7 @@ constant itself (e.g. 1/sqrt3) lies outside Q(i, sqrt2).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from . import amplitude as amp
 from .amplitude import EXACT, FLOAT_TOL, ExactScalar
@@ -35,9 +34,12 @@ class PathLabel(enum.IntEnum):
         return self.name
 
 
-@dataclass(frozen=True)
-class BasisKet:
-    """Joint outcome label: a path per species, or the absorbed-photon sink."""
+class BasisKet(NamedTuple):
+    """Joint outcome label: a path per species, or the absorbed-photon sink.
+
+    A tuple, so hashing and equality run in C: ``hash(BasisKet(a, b))`` is
+    ``hash((a, b))``.
+    """
 
     plus: Optional[PathLabel] = None
     minus: Optional[PathLabel] = None
@@ -66,8 +68,14 @@ ABSORBED = BasisKet()
 KetMap = Callable[[BasisKet], Iterable[Tuple[BasisKet, object]]]
 
 
-def _prune(amps: dict) -> dict:
-    return {k: a for k, a in amps.items() if not amp.is_zero(a)}
+def _prune(amps: dict, backend: str) -> dict:
+    """Drop zero values. On the float backend a value whose magnitude is at
+    most FLOAT_TOL times the largest in the map is a cancellation residue
+    and is dropped as well."""
+    if backend == EXACT:
+        return {k: a for k, a in amps.items() if not amp.is_zero(a)}
+    cut = FLOAT_TOL * max(map(abs, amps.values()), default=0.0)
+    return {k: a for k, a in amps.items() if abs(a) > cut}
 
 
 class StateVector:
@@ -75,7 +83,7 @@ class StateVector:
 
     def __init__(self, amps: Dict[BasisKet, object], backend: str = EXACT):
         self.backend = backend
-        self.amps = _prune(amps)
+        self.amps = _prune(amps, backend)
         self._norm_sq = self._compute_norm_sq()
 
     def _compute_norm_sq(self):
@@ -178,7 +186,7 @@ class DensityMatrix:
     def __init__(self, entries: Dict[Tuple[BasisKet, BasisKet], object],
                  backend: str = EXACT, check: bool = True):
         self.backend = backend
-        self.entries = _prune(entries)
+        self.entries = _prune(entries, backend)
         if check:
             self._check_hermitian()
 

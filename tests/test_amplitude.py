@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardysim.amplitude import (ExactScalar, I, INV_SQRT2, ONE, ZERO,
-                                exact_sqrt)
+from hardysim.amplitude import (FLOAT_TOL, ExactScalar, I, INV_SQRT2, ONE, ZERO,
+                                exact_sqrt, real_part)
 from hardysim.errors import UnrepresentableError
 
 
@@ -78,6 +78,15 @@ class TestFloatMirror:
         with pytest.raises(UnrepresentableError):
             exact_sqrt(frac(1, 12))
         assert abs(math.sqrt(1 / 12) - 0.2886751345948129) < 1e-15
+
+    @pytest.mark.parametrize("re", [0.0, 0.5, 1e6])
+    def test_real_part_keeps_to_the_tolerance(self, re):
+        bound = FLOAT_TOL * max(1.0, re)
+        assert real_part(complex(re, bound)) == re
+        assert real_part(complex(re, -bound)) == re
+        for im in (2 * bound, -2 * bound, 0.3):
+            with pytest.raises(UnrepresentableError):
+                real_part(complex(re, im))
 
 
 class TestExactSqrt:

@@ -10,7 +10,7 @@ from hardysim.bosonic import (BosonicState, apply_bs_bosonic,
                               coincidence_postselect,
                               distinguishable_coincidence_probability,
                               hom_coincidence_probability)
-from hardysim.errors import AnnihilatedError, SimulationError
+from hardysim.errors import AnnihilatedError, EmptyStateError, SimulationError
 
 
 class TestApplyBs:
@@ -91,6 +91,13 @@ class TestHom:
 
     def test_distinguishable_gives_half(self):
         assert distinguishable_coincidence_probability() == Fraction(1, 2)
+
+    def test_underflowed_float_norm_raises(self):
+        # |1e-170|^2 underflows to 0.0 although the amplitude is nonzero
+        state = BosonicState({(1, 1): complex(1e-170)}, FLOAT)
+        assert not state.is_zero()
+        with pytest.raises(EmptyStateError):
+            state.probability(lambda k: True)
 
     def test_bunched_plus_coincidence_is_one(self):
         out = apply_bs_bosonic(BosonicState.single((1, 1)), 0, 1)

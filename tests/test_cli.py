@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import hardysim
 from hardysim.cli import main
 
 
@@ -196,3 +200,17 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestImport:
+    def test_cli_import_loads_only_what_every_command_needs(self):
+        # lhv, bosonic and csv are imported by the commands that use them
+        lazy = ["dataclasses", "inspect", "hardysim.lhv", "hardysim.bosonic",
+                "csv"]
+        src = os.path.dirname(os.path.dirname(hardysim.__file__))
+        code = ("import sys, hardysim.cli; "
+                f"print(sorted(m for m in {lazy!r} if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

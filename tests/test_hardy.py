@@ -6,8 +6,8 @@ import pytest
 
 from hardysim.amplitude import EXACT, FLOAT, I
 from hardysim.errors import SimulationError
-from hardysim.hardy import (CONFIG_KEYS, ScenarioConfig, full_table,
-                            no_interaction_baseline, run_scenario)
+from hardysim.hardy import (CONFIG_KEYS, OutcomeTable, ScenarioConfig,
+                            full_table, no_interaction_baseline, run_scenario)
 from hardysim.measurement import (annihilation_channel, apply_channel,
                                   condition_on_no_absorption)
 from hardysim.state import (BasisKet, DensityMatrix, PathLabel, StateVector,
@@ -167,6 +167,20 @@ class TestBackendAgreement:
                     assert abs(float(exact.rows[key]) - flt.rows[key]) <= 1e-12
                 assert abs(float(exact.gamma_prob) - flt.gamma_prob) <= 1e-12
 
+    @pytest.mark.parametrize("p", [Fraction(777821, 10**6),
+                                   Fraction(833821, 10**6)])
+    @pytest.mark.parametrize("bs2_plus, bs2_minus", [(True, False),
+                                                     (False, True)])
+    def test_float_density_matrix_has_the_exact_support(self, p, bs2_plus,
+                                                        bs2_minus):
+        # at these p a 1.4e-17 cancellation residue used to survive as an
+        # 11th entry; the support of a mixed layout does not depend on p
+        exact, _ = run_scenario(ScenarioConfig(bs2_plus, bs2_minus,
+                                               Fraction(1, 2)))
+        flt, _ = run_scenario(ScenarioConfig(bs2_plus, bs2_minus, p, FLOAT))
+        assert len(exact.entries) == 10
+        assert set(flt.entries) == set(exact.entries)
+
 
 class TestConfigValidation:
     def test_p_out_of_range(self):
@@ -177,8 +191,30 @@ class TestConfigValidation:
         with pytest.raises(SimulationError):
             ScenarioConfig(True, True, Fraction(1), "symbolic")
 
+    @pytest.mark.parametrize("field", ["bs2_plus", "reaction_prob", "backend"])
+    def test_fields_cannot_be_set(self, field):
+        cfg = ScenarioConfig(True, True)
+        with pytest.raises(AttributeError):
+            setattr(cfg, field, False)
+
     def test_keys(self):
         assert ScenarioConfig(False, False).key == "OO"
         assert ScenarioConfig(True, False).key == "IO"
         assert ScenarioConfig(False, True).key == "OI"
         assert ScenarioConfig(True, True).key == "II"
+
+
+class TestOutcomeTable:
+    def test_repr_names_every_field(self):
+        table = OutcomeTable({("c", "c"): Fraction(1, 2)}, Fraction(0), True,
+                             "II")
+        assert repr(table) == ("OutcomeTable(rows={('c', 'c'): Fraction(1, 2)}, "
+                               "gamma_prob=Fraction(0, 1), conditional=True, "
+                               "config='II')")
+
+    def test_equality_compares_fields_and_config_can_be_set(self):
+        _, table = run_scenario(ScenarioConfig(True, True))
+        _, again = run_scenario(ScenarioConfig(True, True))
+        assert table == again
+        again.config = "OO"
+        assert table != again

@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
-from hardysim.lhv import (ConstraintSet, LocalStrategy, all_strategies, audit,
-                          audit_report, quantum_constraints)
+import pytest
+
+from hardysim.lhv import (ConstraintSet, LocalStrategy, Verdict, all_strategies,
+                          audit, audit_report, quantum_constraints)
 
 
 class TestEnumeration:
@@ -18,6 +20,10 @@ class TestEnumeration:
         assert s.outcome(("in", "out")) == ("d", "c")
         assert s.outcome(("out", "in")) == ("c", "d")
         assert s.outcome(("out", "out")) == ("c", "c")
+
+    def test_strategy_fields_cannot_be_set(self):
+        with pytest.raises(AttributeError):
+            LocalStrategy("d", "c", "d", "c").a_in = "c"
 
 
 class TestQuantumConstraints:
@@ -91,3 +97,11 @@ class TestReport:
         assert len(verdict.eliminations) + len(verdict.surviving_strategies) == 16
         for strat, (setting, outcome) in verdict.eliminations.items():
             assert strat.outcome(setting) == outcome
+
+
+class TestVerdict:
+    def test_each_verdict_gets_its_own_eliminations(self):
+        first, second = Verdict(False, []), Verdict(False, [])
+        assert first.eliminations == {}
+        first.eliminations[LocalStrategy("c", "c", "c", "c")] = None
+        assert second.eliminations == {}

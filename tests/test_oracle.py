@@ -1,0 +1,127 @@
+"""Every coincidence probability against a closed form derived by hand.
+
+After both first beam splitters and the pass branch of the annihilation
+step, the (plus arm, minus arm) state is
+
+    1/2 (vv + i vu + i uv - s uu),    s = sqrt(1 - p),
+
+and the absorbed branch carries the weight p |1/2|^2 = p/4. A second beam
+splitter in place sends u -> (c + i d)/sqrt2 and v -> (i c + d)/sqrt2; a
+removed one sends u -> c and v -> d. The detector amplitudes are then
+
+    OO: cc = -s/2,                cd = i/2,
+        dc = i/2,                 dd = 1/2
+    IO: cc = -(1 + s)/(2 sqrt2),  cd = i/sqrt2,
+        dc = i (1 - s)/(2 sqrt2), dd = 0
+    OI: IO with the arms swapped
+    II: cc = -(3 + s)/4,          cd = i (1 - s)/4,
+        dc = i (1 - s)/4,         dd = (s - 1)/4
+
+each a phase times a real (a + b s) r, so the unconditional probability of
+a cell is w (a + b s)^2 with w = r^2. Nothing here comes from the package
+beyond the values it returns.
+"""
+
+import math
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from hardysim.amplitude import FLOAT, ExactScalar
+from hardysim.hardy import ScenarioConfig, full_table, run_scenario
+
+LAYOUTS = {"OO": (False, False), "IO": (True, False), "OI": (False, True),
+           "II": (True, True)}
+
+# layout -> (det_plus, det_minus) -> (w, a, b): P = w (a + b s)^2
+ORACLE = {
+    "OO": {("c", "c"): (F(1, 4), 0, 1), ("c", "d"): (F(1, 4), 1, 0),
+           ("d", "c"): (F(1, 4), 1, 0), ("d", "d"): (F(1, 4), 1, 0)},
+    "IO": {("c", "c"): (F(1, 8), 1, 1), ("c", "d"): (F(1, 2), 1, 0),
+           ("d", "c"): (F(1, 8), 1, -1), ("d", "d"): (F(0), 0, 0)},
+    "OI": {("c", "c"): (F(1, 8), 1, 1), ("c", "d"): (F(1, 8), 1, -1),
+           ("d", "c"): (F(1, 2), 1, 0), ("d", "d"): (F(0), 0, 0)},
+    "II": {("c", "c"): (F(1, 16), 3, 1), ("c", "d"): (F(1, 16), 1, -1),
+           ("d", "c"): (F(1, 16), 1, -1), ("d", "d"): (F(1, 16), 1, -1)},
+}
+
+# p -> s = sqrt(1 - p) as (x, y), meaning x + y sqrt2: the nine p of the
+# benchmark's exact sweep, whose square roots lie in Q(sqrt2)
+EXACT_S = {
+    F(0): (F(1), F(0)), F(1): (F(0), F(0)), F(1, 2): (F(0), F(1, 2)),
+    F(9, 25): (F(4, 5), F(0)), F(16, 25): (F(3, 5), F(0)),
+    F(1, 9): (F(0), F(2, 3)), F(8, 9): (F(1, 3), F(0)),
+    F(1, 50): (F(0), F(7, 10)), F(49, 50): (F(0), F(1, 10)),
+}
+
+
+def mul(x, y):
+    """Product in Q(sqrt2) of pairs (a, b) meaning a + b sqrt2."""
+    return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def exact_cell(layout, cell, s):
+    w, a, b = ORACLE[layout][cell]
+    amp = (a + b * s[0], b * s[1])
+    return mul((w, F(0)), mul(amp, amp))
+
+
+def as_pair(value):
+    """A probability the package returned, as (a, b) meaning a + b sqrt2."""
+    if isinstance(value, ExactScalar):
+        assert value.q1 == 0 and value.q3 == 0
+        return (value.q0, value.q2)
+    assert isinstance(value, F)
+    return (value, F(0))
+
+
+def test_oracle_tables_sum_to_one():
+    for p, s in EXACT_S.items():
+        assert mul(s, s) == (1 - p, 0) and s[0] + s[1] * math.sqrt(2) >= 0
+        for layout in LAYOUTS:
+            total = [p / 4, F(0)]
+            for cell in ORACLE[layout]:
+                x = exact_cell(layout, cell, s)
+                total = [total[0] + x[0], total[1] + x[1]]
+            assert total == [1, 0]
+
+
+@pytest.mark.parametrize("p", sorted(EXACT_S))
+def test_exact_backend_matches_closed_form(p):
+    s = EXACT_S[p]
+    conditional = full_table(p)
+    survival = 1 - p / 4
+    for layout, (bs2_plus, bs2_minus) in LAYOUTS.items():
+        _, table = run_scenario(ScenarioConfig(bs2_plus, bs2_minus, p))
+        assert as_pair(table.gamma_prob) == (p / 4, 0)
+        for cell in ORACLE[layout]:
+            expected = exact_cell(layout, cell, s)
+            assert as_pair(table.prob(*cell)) == expected
+            assert as_pair(conditional[layout].prob(*cell)) == (
+                expected[0] / survival, expected[1] / survival)
+
+
+def test_float_backend_matches_closed_form():
+    rng = random.Random(20121)
+    ps = [F(rng.randint(1, 999999), 10**6) for _ in range(12)]
+    for p in ps + [F(1, 10**6), F(999999, 10**6), F(1, 3)]:
+        s = math.sqrt(1 - float(p))
+        for layout, (bs2_plus, bs2_minus) in LAYOUTS.items():
+            _, table = run_scenario(
+                ScenarioConfig(bs2_plus, bs2_minus, p, FLOAT))
+            assert abs(table.gamma_prob - float(p) / 4) <= 1e-12
+            for cell, (w, a, b) in ORACLE[layout].items():
+                expected = float(w) * (a + b * s) ** 2
+                assert abs(table.prob(*cell) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("p, expected", [
+    (F(1), F(1, 16)),
+    (F(9, 25), F(1, 400)),
+    (F(1, 9), ExactScalar(F(17, 144), 0, F(-1, 12), 0)),  # 17/144 - sqrt2/12
+])
+def test_known_hardy_probabilities(p, expected):
+    _, table = run_scenario(ScenarioConfig(True, True, p))
+    assert table.prob("d", "d") == expected
+    assert table.gamma_prob == p / 4

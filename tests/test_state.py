@@ -58,6 +58,16 @@ class TestBasisKet:
         ordered = sorted(kets, key=BasisKet.sort_key)
         assert ordered == [ket(S, S), ket(d, d), ABSORBED]
 
+    def test_hash_is_the_tuple_hash(self):
+        # the hash the frozen-dataclass form had; set iteration order rests on it
+        assert hash(ket(u, v)) == hash((u, v))
+        assert hash(ABSORBED) == hash((None, None))
+
+    @pytest.mark.parametrize("field", ["plus", "minus"])
+    def test_fields_cannot_be_set(self, field):
+        with pytest.raises(AttributeError):
+            setattr(ket(u, v), field, c)
+
 
 class TestMakeInput:
     def test_support(self):
@@ -180,6 +190,15 @@ class TestDensity:
     def test_zero_pruning(self):
         sv = StateVector({ket(u, u): ONE, ket(v, v): ONE - ONE})
         assert sv.support() == {ket(u, u)}
+
+    def test_float_cancellation_residue_is_pruned(self):
+        # a value at most FLOAT_TOL times the largest is dropped, one above kept
+        sv = StateVector({ket(u, u): complex(0.5), ket(u, v): complex(1e-17),
+                          ket(v, u): complex(1e-12)}, amp.FLOAT)
+        assert sv.support() == {ket(u, u), ket(v, u)}
+        rho = DensityMatrix({(ket(u, u), ket(u, u)): complex(0.25),
+                             (ket(v, v), ket(v, v)): complex(1e-14)}, amp.FLOAT)
+        assert set(rho.entries) == {(ket(u, u), ket(u, u))}
 
 
 class TestDump:

@@ -4,23 +4,24 @@ An ``ExactScalar`` is q0 + q1*i + q2*sqrt2 + q3*i*sqrt2 with rational
 coefficients, stored as four int numerators over one shared int
 denominator. This field is closed under every beam-splitter factor used
 here (1/sqrt2 and i), so circuit amplitudes never need rounding. A plain
-``complex`` serves as the floating-point mirror; the helpers at the bottom
-of this module dispatch on the scalar type so that the rest of the package
-can run on either backend.
+``complex`` serves as the floating-point mirror; the two ``Backend``
+objects at the bottom of this module, EXACT and FLOAT, carry the arithmetic
+of each so that the rest of the package can run on either.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
-from .errors import UnrepresentableError
-
-EXACT = "exact"
-FLOAT = "float"
+from .errors import EmptyStateError, SimulationError, UnrepresentableError
 
 FLOAT_TOL = 1e-12
+# A float value at most this times the largest magnitude in its map is a
+# cancellation residue: a few ulp of the largest term of the sum it came from.
+RESIDUE_REL = 4 * sys.float_info.epsilon
 
 
 class ExactScalar:
@@ -276,31 +277,89 @@ def exact_sqrt(q: Fraction) -> ExactScalar:
 
 
 # ---------------------------------------------------------------------------
-# Backend dispatch. Exact states carry ExactScalar amplitudes, float states
-# carry complex; the functions below are the only places that care which.
+# Backends. Exact states carry ExactScalar amplitudes, float states carry
+# complex; a Backend holds everything that differs between the two, so no
+# caller branches on which one it has.
 # ---------------------------------------------------------------------------
 
-def scalar_one(backend: str):
-    return ONE if backend == EXACT else complex(1.0)
+class Backend(str):
+    """The arithmetic of one backend; EXACT and FLOAT are the only instances.
+
+    A backend is the string "exact" or "float", so it compares, hashes,
+    prints and JSON-dumps as that name. Each carries the scalars ``zero``,
+    ``one``, ``i`` and ``inv_sqrt2`` and these operations:
+
+    - ``sqrt(q)``, ``from_fraction(q)``: sqrt(q) and q for a rational q >= 0;
+    - ``prune(amps)``: the map without its zero values;
+    - ``close(a, b)``: a == b, within FLOAT_TOL on the float backend;
+    - ``ratio(num, den)``: the real number num / den, den a squared norm.
+    """
+
+    __slots__ = ()
 
 
-def scalar_i(backend: str):
-    return I if backend == EXACT else complex(0.0, 1.0)
+class _ExactBackend(Backend):
+    __slots__ = ()
+    zero = ZERO
+    one = ONE
+    i = I
+    inv_sqrt2 = INV_SQRT2
 
-
-def scalar_inv_sqrt2(backend: str):
-    return INV_SQRT2 if backend == EXACT else complex(1.0 / math.sqrt(2.0))
-
-
-def scalar_from_fraction(q: Fraction, backend: str):
-    return ExactScalar.from_fraction(q) if backend == EXACT else complex(float(q))
-
-
-def scalar_sqrt(q: Fraction, backend: str):
-    """sqrt of a non-negative rational in the given backend."""
-    if backend == EXACT:
+    def sqrt(self, q):
         return exact_sqrt(q)
-    return complex(math.sqrt(float(q)))
+
+    def from_fraction(self, q):
+        return ExactScalar.from_fraction(q)
+
+    def prune(self, amps):
+        return {k: a for k, a in amps.items() if not a.is_zero()}
+
+    def close(self, a, b):
+        return a == b
+
+    def ratio(self, num, den):
+        return real_part(num / den)
+
+
+class _FloatBackend(Backend):
+    __slots__ = ()
+    zero = 0.0
+    one = complex(1.0)
+    i = complex(0.0, 1.0)
+    inv_sqrt2 = complex(1.0 / math.sqrt(2.0))
+
+    def sqrt(self, q):
+        return complex(math.sqrt(float(q)))
+
+    def from_fraction(self, q):
+        return complex(float(q))
+
+    def prune(self, amps):
+        """Also drops cancellation residues (see RESIDUE_REL)."""
+        cut = RESIDUE_REL * max(map(abs, amps.values()), default=0.0)
+        return {k: a for k, a in amps.items() if abs(a) > cut}
+
+    def close(self, a, b):
+        return abs(a - b) <= FLOAT_TOL
+
+    def ratio(self, num, den):
+        den = den.real
+        if den == 0.0:
+            raise EmptyStateError("squared norm underflows to 0.0")
+        return num.real / den
+
+
+EXACT = _ExactBackend("exact")
+FLOAT = _FloatBackend("float")
+_BACKENDS = {EXACT: EXACT, FLOAT: FLOAT}
+
+
+def backend(name) -> Backend:
+    """The backend called name ("exact" or "float"); anything else raises."""
+    try:
+        return _BACKENDS[name]
+    except (KeyError, TypeError):
+        raise SimulationError(f"unknown backend {name!r}") from None
 
 
 def conj(x):
@@ -321,15 +380,3 @@ def real_part(x):
     if abs(x.imag) > FLOAT_TOL * max(1.0, abs(x.real)):
         raise UnrepresentableError(f"{x} has a nonzero imaginary part")
     return x.real
-
-
-def is_zero(x) -> bool:
-    if isinstance(x, ExactScalar):
-        return x.is_zero()
-    return x == 0.0
-
-
-def to_complex(x) -> complex:
-    if isinstance(x, ExactScalar):
-        return x.to_complex()
-    return complex(x)

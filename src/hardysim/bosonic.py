@@ -17,8 +17,8 @@ from typing import Dict, Tuple
 
 from . import amplitude as amp
 from . import optics
-from .amplitude import EXACT, exact_sqrt
-from .errors import AnnihilatedError, EmptyStateError, SimulationError
+from .amplitude import EXACT
+from .errors import AnnihilatedError, SimulationError
 from .state import BasisKet, PathLabel, StateVector
 
 MAX_PHOTONS = 4
@@ -26,13 +26,15 @@ MAX_PHOTONS = 4
 FockKet = Tuple[int, ...]
 
 
-class BosonicState:
-    """Finite map FockKet -> amplitude; unnormalized, norm tracked exactly."""
+class BosonicState(StateVector):
+    """A StateVector over FockKets with one total photon number, at most
+    MAX_PHOTONS."""
+
+    ket_order = None
 
     def __init__(self, amps: Dict[FockKet, object], backend: str = EXACT):
-        self.backend = backend
-        self.amps = {k: a for k, a in amps.items() if not amp.is_zero(a)}
-        totals = {sum(k) for k in self.amps}
+        super().__init__(amps, backend)
+        totals = self.total_photons()
         if len(totals) > 1:
             raise SimulationError("mixed total photon number in one state")
         if totals and max(totals) > MAX_PHOTONS:
@@ -40,42 +42,11 @@ class BosonicState:
 
     @classmethod
     def single(cls, ket: FockKet, backend: str = EXACT) -> "BosonicState":
-        return cls({tuple(ket): amp.scalar_one(backend)}, backend)
-
-    def is_zero(self) -> bool:
-        return not self.amps
-
-    def norm_sq(self):
-        total = amp.ExactScalar() if self.backend == EXACT else 0.0
-        for a in self.amps.values():
-            total = total + a * amp.conj(a)
-        return amp.real_part(total)
+        backend = amp.backend(backend)
+        return cls({tuple(ket): backend.one}, backend)
 
     def total_photons(self):
         return {sum(k) for k in self.amps}
-
-    def probability(self, predicate):
-        if self.is_zero():
-            raise EmptyStateError("empty state")
-        kept = amp.ExactScalar() if self.backend == EXACT else 0.0
-        for k, a in self.amps.items():
-            if predicate(k):
-                kept = kept + a * amp.conj(a)
-        if self.backend == EXACT:
-            norm = amp.ExactScalar()
-            for a in self.amps.values():
-                norm = norm + a * amp.conj(a)
-            return amp.real_part(kept / norm)
-        norm = self.norm_sq()
-        if norm == 0.0:
-            raise EmptyStateError("squared norm underflows to 0.0")
-        return kept.real / norm
-
-
-def _sqrt_ratio(num: int, den: int, backend: str):
-    if backend == EXACT:
-        return exact_sqrt(Fraction(num, den))
-    return complex(math.sqrt(num / den))
 
 
 def apply_bs_bosonic(state: BosonicState, mode_a: int,
@@ -91,11 +62,9 @@ def apply_bs_bosonic(state: BosonicState, mode_a: int,
     if state.amps and not (0 <= mode_a < n_modes and 0 <= mode_b < n_modes
                            and mode_a != mode_b):
         raise SimulationError("invalid mode indices")
-    i_unit = amp.scalar_i(backend)
-    half = amp.scalar_from_fraction(Fraction(1, 2), backend)
+    half = backend.from_fraction(Fraction(1, 2))
 
-    out: Dict[FockKet, object] = {}
-    for ket, a in state.amps.items():
+    def ket_map(ket: FockKet):
         m, n = ket[mode_a], ket[mode_b]
         total = m + n
         # expand (a + ib)^m (ia + b)^n; a coefficient of a^r b^s carries
@@ -106,30 +75,28 @@ def apply_bs_bosonic(state: BosonicState, mode_a: int,
                 r = j + k
                 c = math.comb(m, j) * math.comb(n, k)
                 phase_pow = (m - j + k) % 4
-                term = amp.scalar_from_fraction(Fraction(c), backend)
+                term = backend.from_fraction(Fraction(c))
                 for _ in range(phase_pow):
-                    term = term * i_unit
+                    term = term * backend.i
                 cur = coeffs.get(r)
                 coeffs[r] = term if cur is None else cur + term
-        for r, c in coeffs.items():
-            if amp.is_zero(c):
-                continue
+        # (1/sqrt2)^(m+n) = (1/2)^((m+n)//2) times 1/sqrt2 if odd
+        pref = backend.one
+        for _ in range(total // 2):
+            pref = pref * half
+        if total % 2:
+            pref = pref * backend.inv_sqrt2
+        # a vanishing coefficient may carry an irrational factor; skip it
+        for r, c in backend.prune(coeffs).items():
             s = total - r
-            factor = _sqrt_ratio(math.factorial(r) * math.factorial(s),
-                                 math.factorial(m) * math.factorial(n), backend)
-            # (1/sqrt2)^(m+n) = (1/2)^((m+n)//2) times 1/sqrt2 if odd
-            pref = amp.scalar_one(backend)
-            for _ in range(total // 2):
-                pref = pref * half
-            if total % 2:
-                pref = pref * amp.scalar_inv_sqrt2(backend)
+            factor = backend.sqrt(Fraction(
+                math.factorial(r) * math.factorial(s),
+                math.factorial(m) * math.factorial(n)))
             new = list(ket)
             new[mode_a], new[mode_b] = r, s
-            new_ket = tuple(new)
-            contrib = a * c * factor * pref
-            cur = out.get(new_ket)
-            out[new_ket] = contrib if cur is None else cur + contrib
-    return BosonicState(out, backend)
+            yield tuple(new), c * factor * pref
+
+    return state.apply_ket_map(ket_map)
 
 
 def coincidence_postselect(state: BosonicState,
@@ -165,8 +132,9 @@ def distinguishable_coincidence_probability(backend: str = EXACT):
     One particle per species enters its own beam-splitter port; the
     probability that they exit through different detector ports is 1/2.
     """
-    sv = StateVector({BasisKet.pair(PathLabel.u, PathLabel.v):
-                      amp.scalar_one(backend)}, backend)
+    backend = amp.backend(backend)
+    sv = StateVector({BasisKet(PathLabel.u, PathLabel.v): backend.one},
+                     backend)
     uv = (PathLabel.u, PathLabel.v)
     cd = (PathLabel.c, PathLabel.d)
     sv = optics.apply_bs(sv, optics.PLUS, uv, cd)

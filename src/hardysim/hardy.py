@@ -11,8 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, NamedTuple, Tuple, Union
 
+from . import amplitude as amp
 from . import measurement, optics
-from .amplitude import EXACT, FLOAT
+from .amplitude import EXACT
 from .errors import SimulationError
 from .state import BasisKet, PathLabel, make_input, pure_to_density
 
@@ -40,9 +41,8 @@ class ScenarioConfig(_ScenarioFields):
         if not (0 <= reaction_prob <= 1):
             raise SimulationError(
                 f"reaction probability {reaction_prob} outside [0, 1]")
-        if backend not in (EXACT, FLOAT):
-            raise SimulationError(f"unknown backend {backend!r}")
-        return super().__new__(cls, bs2_plus, bs2_minus, reaction_prob, backend)
+        return super().__new__(cls, bs2_plus, bs2_minus, reaction_prob,
+                               amp.backend(backend))
 
     @property
     def key(self) -> str:
@@ -137,7 +137,7 @@ def run_scenario(cfg: ScenarioConfig):
         final = _bs2_stage(sv, cfg.bs2_plus, cfg.bs2_minus)
         rows = {(dp, dm): final.probability(_is_coincidence(dp, dm))
                 for dp in DETECTORS for dm in DETECTORS}
-        zero = Fraction(0) if cfg.backend == EXACT else 0.0
+        zero = amp.real_part(cfg.backend.zero)
         return final, OutcomeTable(rows, zero, False, cfg.key)
 
     ch = measurement.annihilation_channel(p, cfg.backend)
@@ -160,10 +160,3 @@ def full_table(p: Fraction = Fraction(1),
             tables[cfg.key] = table.conditioned()
     return tables
 
-
-def no_interaction_baseline(cfg: ScenarioConfig) -> OutcomeTable:
-    """Sanity limit p = 0: balanced interferometers, no annihilation branch."""
-    if cfg.reaction_prob != 0:
-        raise SimulationError("baseline requires reaction probability 0")
-    _, table = run_scenario(cfg)
-    return table

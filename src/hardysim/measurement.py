@@ -19,7 +19,7 @@ from .amplitude import EXACT
 from .errors import AnnihilatedError, EmptyStateError, SimulationError
 from .state import ABSORBED, BasisKet, DensityMatrix, PathLabel, StateVector
 
-DOOMED = BasisKet.pair(PathLabel.u, PathLabel.u)
+DOOMED = BasisKet(PathLabel.u, PathLabel.u)
 
 
 class KnowledgeProjector:
@@ -38,9 +38,9 @@ class KnowledgeProjector:
 def hardy_projector() -> KnowledgeProjector:
     """The projector that removes the annihilating u+u- component."""
     kept = frozenset({
-        BasisKet.pair(PathLabel.v, PathLabel.v),
-        BasisKet.pair(PathLabel.v, PathLabel.u),
-        BasisKet.pair(PathLabel.u, PathLabel.v),
+        BasisKet(PathLabel.v, PathLabel.v),
+        BasisKet(PathLabel.v, PathLabel.u),
+        BasisKet(PathLabel.u, PathLabel.v),
     })
     return KnowledgeProjector(kept)
 
@@ -78,14 +78,14 @@ class AnnihilationChannel:
         if not (0 <= p <= 1):
             raise SimulationError(f"reaction probability {p} outside [0, 1]")
         self.p = p
-        self.backend = backend
+        self.backend = amp.backend(backend)
         self.doomed = doomed
         self.gamma = gamma
-        self.sqrt_p = amp.scalar_sqrt(p, backend)
-        self.sqrt_1mp = amp.scalar_sqrt(1 - p, backend)
+        self.sqrt_p = self.backend.sqrt(p)
+        self.sqrt_1mp = self.backend.sqrt(1 - p)
 
     def pass_map(self):
-        one = amp.scalar_one(self.backend)
+        one = self.backend.one
 
         def ket_map(ket: BasisKet):
             if ket == self.doomed:
@@ -163,9 +163,6 @@ def condition_on_no_absorption(rho: DensityMatrix):
     surviving = DensityMatrix(entries, rho.backend, check=False).trace()
     if surviving == 0:
         raise AnnihilatedError("state fully absorbed; nothing to condition on")
-    if rho.backend == EXACT:
-        inv = amp.ONE / surviving
-    else:
-        inv = complex(1.0 / surviving)
+    inv = rho.backend.one / surviving
     scaled = {key: val * inv for key, val in entries.items()}
     return DensityMatrix(scaled, rho.backend, check=False), surviving

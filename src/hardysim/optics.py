@@ -24,16 +24,17 @@ def _arm_label(ket: BasisKet, arm: str) -> PathLabel:
 
 def _with_arm_label(ket: BasisKet, arm: str, label: PathLabel) -> BasisKet:
     if arm == PLUS:
-        return BasisKet.pair(label, ket.minus)
-    return BasisKet.pair(ket.plus, label)
+        return BasisKet(label, ket.minus)
+    return BasisKet(ket.plus, label)
 
 
 def bs_ket_map(backend: str, arm: str, in_pair: Tuple[PathLabel, PathLabel],
                out_pair: Tuple[PathLabel, PathLabel]):
     """Linear ket map of one beam splitter; absorbed kets pass through."""
-    one = amp.scalar_one(backend)
-    s = amp.scalar_inv_sqrt2(backend)
-    i_s = amp.scalar_i(backend) * s
+    backend = amp.backend(backend)
+    one = backend.one
+    s = backend.inv_sqrt2
+    i_s = backend.i * s
 
     def ket_map(ket: BasisKet):
         if ket.is_absorbed:
@@ -65,30 +66,23 @@ def relabel_ket_map(backend: str, arm: str,
     targets = list(mapping.values())
     if len(set(targets)) != len(targets):
         raise ModeAliasingError("relabel map is not injective")
-    one = amp.scalar_one(backend)
+    one = amp.backend(backend).one
 
     def ket_map(ket: BasisKet):
         if ket.is_absorbed:
             return [(ket, one)]
         label = _arm_label(ket, arm)
+        if label not in mapping and label in targets:
+            raise ModeAliasingError(
+                f"mode aliasing: live label {label} collides with a relabel target")
         return [(_with_arm_label(ket, arm, mapping.get(label, label)), one)]
 
     return ket_map
 
 
-def relabel(sv: StateVector, arm: str,
-            mapping: Dict[PathLabel, PathLabel]) -> StateVector:
-    live = {_arm_label(k, arm) for k in sv.amps if not k.is_absorbed}
-    # injectivity on live labels: two live labels must not merge
-    images = {lbl: mapping.get(lbl, lbl) for lbl in live}
-    if len(set(images.values())) != len(images):
-        raise ModeAliasingError("relabel map merges live labels")
-    return sv.apply_ket_map(relabel_ket_map(sv.backend, arm, mapping))
-
-
 def apply_bs1_pair(sv: StateVector) -> StateVector:
     """Send |S+>|S-> through both first beam splitters (S -> v, u per arm)."""
-    expected = {BasisKet.pair(PathLabel.S, PathLabel.S)}
+    expected = {BasisKet(PathLabel.S, PathLabel.S)}
     if sv.support() != expected:
         raise SimulationError("apply_bs1_pair expects the bare source state")
     out = apply_bs(sv, PLUS, (PathLabel.S, PathLabel.S),

@@ -17,7 +17,7 @@ import enum
 from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from . import amplitude as amp
-from .amplitude import EXACT, FLOAT_TOL, ExactScalar
+from .amplitude import EXACT, ExactScalar
 from .errors import EmptyStateError, NonHermitianError
 
 
@@ -44,10 +44,6 @@ class BasisKet(NamedTuple):
     plus: Optional[PathLabel] = None
     minus: Optional[PathLabel] = None
 
-    @classmethod
-    def pair(cls, plus: PathLabel, minus: PathLabel) -> "BasisKet":
-        return cls(plus, minus)
-
     @property
     def is_absorbed(self) -> bool:
         return self.plus is None
@@ -68,29 +64,23 @@ ABSORBED = BasisKet()
 KetMap = Callable[[BasisKet], Iterable[Tuple[BasisKet, object]]]
 
 
-def _prune(amps: dict, backend: str) -> dict:
-    """Drop zero values. On the float backend a value whose magnitude is at
-    most FLOAT_TOL times the largest in the map is a cancellation residue
-    and is dropped as well."""
-    if backend == EXACT:
-        return {k: a for k, a in amps.items() if not amp.is_zero(a)}
-    cut = FLOAT_TOL * max(map(abs, amps.values()), default=0.0)
-    return {k: a for k, a in amps.items() if abs(a) > cut}
-
-
 class StateVector:
-    """Finite map BasisKet -> amplitude with a cached exact squared norm."""
+    """Finite map ket -> amplitude with a cached exact squared norm.
+
+    Methods that build a new state return ``type(self)``, so a subclass with
+    its own kind of ket keeps its type, and its checks, through ket maps.
+    """
+
+    # dump() order; None sorts kets that compare natively
+    ket_order = staticmethod(BasisKet.sort_key)
 
     def __init__(self, amps: Dict[BasisKet, object], backend: str = EXACT):
-        self.backend = backend
-        self.amps = _prune(amps, backend)
-        self._norm_sq = self._compute_norm_sq()
-
-    def _compute_norm_sq(self):
-        total = amp.ExactScalar() if self.backend == EXACT else 0.0
+        self.backend = amp.backend(backend)
+        self.amps = self.backend.prune(amps)
+        total = self.backend.zero
         for a in self.amps.values():
             total = total + a * amp.conj(a)
-        return total
+        self._norm_sq = total
 
     def norm_sq(self):
         """Squared norm as Fraction (exact backend) or float."""
@@ -100,20 +90,18 @@ class StateVector:
         return not self.amps
 
     def amplitude(self, ket: BasisKet):
-        if ket in self.amps:
-            return self.amps[ket]
-        return amp.ExactScalar() if self.backend == EXACT else 0.0
+        return self.amps.get(ket, self.backend.zero)
 
     def support(self):
         return set(self.amps)
 
     def scaled(self, factor) -> "StateVector":
-        return StateVector({k: a * factor for k, a in self.amps.items()},
-                           self.backend)
+        return type(self)({k: a * factor for k, a in self.amps.items()},
+                          self.backend)
 
     def inner(self, other: "StateVector"):
         """<self|other> in the shared amplitude type."""
-        total = amp.ExactScalar() if self.backend == EXACT else 0.0
+        total = self.backend.zero
         for k, a in self.amps.items():
             b = other.amps.get(k)
             if b is not None:
@@ -127,40 +115,36 @@ class StateVector:
             for k2, c in ket_map(k):
                 cur = out.get(k2)
                 out[k2] = a * c if cur is None else cur + a * c
-        return StateVector(out, self.backend)
+        return type(self)(out, self.backend)
 
     def probability(self, predicate: Callable[[BasisKet], bool]):
         """Born probability of the predicate; exact Fraction where possible."""
         if self.is_zero():
             raise EmptyStateError("empty state")
-        kept = amp.ExactScalar() if self.backend == EXACT else 0.0
+        kept = self.backend.zero
         for k, a in self.amps.items():
             if predicate(k):
                 kept = kept + a * amp.conj(a)
-        if self.backend == EXACT:
-            return amp.real_part(kept / self._norm_sq)
-        norm = self._norm_sq.real
-        if norm == 0.0:
-            raise EmptyStateError("squared norm underflows to 0.0")
-        return kept.real / norm
+        return self.backend.ratio(kept, self._norm_sq)
 
     def dump(self) -> str:
         """Canonical text form, one ket per line in basis order."""
         lines = []
-        for k in sorted(self.amps, key=BasisKet.sort_key):
+        for k in sorted(self.amps, key=self.ket_order):
             a = self.amps[k]
             text = a.to_string() if isinstance(a, ExactScalar) else repr(a)
             lines.append(f"{k} | {text}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return f"StateVector({self.backend}, {{{self.dump()}}})"
+        return f"{type(self).__name__}({self.backend}, {{{self.dump()}}})"
 
 
 def make_input(backend: str = EXACT) -> StateVector:
     """The source state |S+>|S->, one particle entering each interferometer."""
-    return StateVector({BasisKet.pair(PathLabel.S, PathLabel.S):
-                        amp.scalar_one(backend)}, backend)
+    backend = amp.backend(backend)
+    return StateVector({BasisKet(PathLabel.S, PathLabel.S): backend.one},
+                       backend)
 
 
 def equal_up_to_global_phase(a: StateVector, b: StateVector,
@@ -169,15 +153,9 @@ def equal_up_to_global_phase(a: StateVector, b: StateVector,
     if a.is_zero() or b.is_zero():
         raise EmptyStateError("empty state")
     if strict:
-        if a.support() != b.support():
-            return False
-        return all(amp.is_zero(a.amps[k] - b.amps[k]) for k in a.amps)
+        return a.amps == b.amps
     overlap = a.inner(b)
-    lhs = overlap * amp.conj(overlap)
-    rhs = a._norm_sq * b._norm_sq
-    if a.backend == EXACT:
-        return lhs == rhs
-    return abs(lhs - rhs) <= FLOAT_TOL
+    return a.backend.close(overlap * amp.conj(overlap), a._norm_sq * b._norm_sq)
 
 
 class DensityMatrix:
@@ -185,8 +163,8 @@ class DensityMatrix:
 
     def __init__(self, entries: Dict[Tuple[BasisKet, BasisKet], object],
                  backend: str = EXACT, check: bool = True):
-        self.backend = backend
-        self.entries = _prune(entries, backend)
+        self.backend = amp.backend(backend)
+        self.entries = self.backend.prune(entries)
         if check:
             self._check_hermitian()
 
@@ -195,16 +173,11 @@ class DensityMatrix:
             mirror = self.entries.get((b, a))
             if mirror is None:
                 raise NonHermitianError(f"missing conjugate entry for ({a}, {b})")
-            diff = val - amp.conj(mirror)
-            ok = diff.is_zero() if self.backend == EXACT else abs(diff) <= FLOAT_TOL
-            if not ok:
+            if not self.backend.close(val, amp.conj(mirror)):
                 raise NonHermitianError(f"entry ({a}, {b}) breaks Hermiticity")
 
     def entry(self, a: BasisKet, b: BasisKet):
-        val = self.entries.get((a, b))
-        if val is None:
-            return amp.ExactScalar() if self.backend == EXACT else 0.0
-        return val
+        return self.entries.get((a, b), self.backend.zero)
 
     def kets(self):
         seen = set()
@@ -214,7 +187,7 @@ class DensityMatrix:
         return seen
 
     def trace(self):
-        total = amp.ExactScalar() if self.backend == EXACT else 0.0
+        total = self.backend.zero
         for (a, b), val in self.entries.items():
             if a == b:
                 total = total + val
@@ -222,7 +195,7 @@ class DensityMatrix:
 
     def purity(self):
         """trace(rho^2), computed as sum_ab rho(a,b) rho(b,a)."""
-        total = amp.ExactScalar() if self.backend == EXACT else 0.0
+        total = self.backend.zero
         for (a, b), val in self.entries.items():
             other = self.entries.get((b, a))
             if other is not None:
@@ -230,7 +203,7 @@ class DensityMatrix:
         return amp.real_part(total)
 
     def diagonal_probability(self, predicate: Callable[[BasisKet], bool]):
-        total = amp.ExactScalar() if self.backend == EXACT else 0.0
+        total = self.backend.zero
         for (a, b), val in self.entries.items():
             if a == b and predicate(a):
                 total = total + val
@@ -250,12 +223,8 @@ class DensityMatrix:
 
     def equals(self, other: "DensityMatrix") -> bool:
         keys = set(self.entries) | set(other.entries)
-        for key in keys:
-            diff = self.entry(*key) - other.entry(*key)
-            ok = diff.is_zero() if self.backend == EXACT else abs(diff) <= FLOAT_TOL
-            if not ok:
-                return False
-        return True
+        return all(self.backend.close(self.entry(*key), other.entry(*key))
+                   for key in keys)
 
     def __repr__(self) -> str:
         n = len(self.kets())
@@ -266,11 +235,7 @@ def pure_to_density(sv: StateVector) -> DensityMatrix:
     """rho = |psi><psi| / <psi|psi>; unit trace, purity 1."""
     if sv.is_zero():
         raise EmptyStateError("empty state")
-    norm = sv.norm_sq()
-    if sv.backend == EXACT:
-        inv = amp.ONE / norm
-    else:
-        inv = complex(1.0 / norm)
+    inv = sv.backend.one / sv.norm_sq()
     entries = {}
     for a, va in sv.amps.items():
         for b, vb in sv.amps.items():

@@ -24,7 +24,7 @@ S, u, v, c, d = PathLabel
 
 
 def ket(plus, minus):
-    return BasisKet.pair(plus, minus)
+    return BasisKet(plus, minus)
 
 
 def criterion(number, description):

@@ -1,6 +1,7 @@
 """Exact field arithmetic in Q(i, sqrt2)."""
 
 import copy
+import json
 import math
 import pickle
 from fractions import Fraction
@@ -8,9 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hardysim import amplitude as amp
 from hardysim.amplitude import (FLOAT_TOL, ExactScalar, I, INV_SQRT2, ONE, ZERO,
                                 exact_sqrt, real_part)
-from hardysim.errors import UnrepresentableError
+from hardysim.errors import SimulationError, UnrepresentableError
 
 
 def frac(n, d=1):
@@ -275,3 +277,26 @@ class TestRepresentation:
         with pytest.raises(AttributeError):
             delattr(x, name)
         assert x.ints == (1, 0, 0, 0, 2)
+
+
+class TestBackend:
+    def test_lookup_returns_the_instances(self):
+        assert amp.backend("exact") is amp.EXACT
+        assert amp.backend("float") is amp.FLOAT
+        assert amp.backend(amp.FLOAT) is amp.FLOAT
+
+    @pytest.mark.parametrize("name", ["symbolic", "EXACT", "", None, ["exact"]])
+    def test_unknown_name_raises(self, name):
+        with pytest.raises(SimulationError):
+            amp.backend(name)
+
+    def test_a_backend_is_its_name(self):
+        assert amp.EXACT == "exact" and hash(amp.FLOAT) == hash("float")
+        assert str(amp.FLOAT) == "float" and f"{amp.EXACT}" == "exact"
+        assert json.dumps(amp.EXACT) == '"exact"'
+        assert json.dumps({"backend": amp.FLOAT}) == '{"backend": "float"}'
+
+    def test_ratio_is_real(self):
+        assert amp.EXACT.ratio(ONE, ExactScalar(4)) == Fraction(1, 4)
+        assert type(amp.EXACT.ratio(ONE, ExactScalar(4))) is Fraction
+        assert amp.FLOAT.ratio(complex(1.0), complex(4.0)) == 0.25

@@ -62,6 +62,25 @@ class TestApplyBs:
         with pytest.raises(SimulationError):
             BosonicState.single((3, 2))
 
+    def test_result_is_a_bosonic_state(self):
+        out = apply_bs_bosonic(BosonicState.single((1, 1), FLOAT), 0, 1)
+        assert type(out) is BosonicState and out.backend == FLOAT
+
+    def test_ket_map_to_mixed_photon_number_raises(self):
+        state = BosonicState.single((1, 1))
+        with pytest.raises(SimulationError):
+            state.apply_ket_map(lambda k: [(k, ONE), ((2, 1), ONE)])
+
+    def test_float_residue_is_pruned(self):
+        state = BosonicState({(1, 1): complex(0.5), (2, 0): complex(1e-17),
+                              (0, 2): complex(1e-12)}, FLOAT)
+        assert set(state.amps) == {(1, 1), (0, 2)}
+
+    def test_dump_lists_the_fock_kets_in_order(self):
+        state = BosonicState({(1, 1): ONE, (0, 2): I})
+        assert state.dump() == "(0, 2) | 1*i\n(1, 1) | 1"
+        assert repr(state).startswith("BosonicState(exact, ")
+
 
 class TestPostselect:
     def test_hom_output_has_no_coincidence(self):
@@ -88,6 +107,12 @@ class TestHom:
 
     def test_float_backend_agrees(self):
         assert abs(hom_coincidence_probability(FLOAT)) <= 1e-12
+
+    def test_unknown_backend_raises(self):
+        with pytest.raises(SimulationError):
+            hom_coincidence_probability("symbolic")
+        with pytest.raises(SimulationError):
+            distinguishable_coincidence_probability("symbolic")
 
     def test_distinguishable_gives_half(self):
         assert distinguishable_coincidence_probability() == Fraction(1, 2)

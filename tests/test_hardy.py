@@ -7,7 +7,7 @@ import pytest
 from hardysim.amplitude import EXACT, FLOAT, I
 from hardysim.errors import SimulationError
 from hardysim.hardy import (CONFIG_KEYS, OutcomeTable, ScenarioConfig,
-                            full_table, no_interaction_baseline, run_scenario)
+                            full_table, run_scenario)
 from hardysim.measurement import (annihilation_channel, apply_channel,
                                   condition_on_no_absorption)
 from hardysim.state import (BasisKet, DensityMatrix, PathLabel, StateVector,
@@ -18,7 +18,7 @@ S, u, v, c, d = PathLabel
 
 
 def ket(plus, minus):
-    return BasisKet.pair(plus, minus)
+    return BasisKet(plus, minus)
 
 
 class TestFinalStates:
@@ -113,20 +113,18 @@ class TestNormalization:
 
 
 class TestBaseline:
+    """p = 0: balanced interferometers, no annihilation branch."""
+
     def test_both_in_no_interaction(self):
-        table = no_interaction_baseline(ScenarioConfig(True, True, Fraction(0)))
+        _, table = run_scenario(ScenarioConfig(True, True, Fraction(0)))
         assert table.prob("c", "c") == 1
         assert table.gamma_prob == 0
 
     def test_both_removed_uniform(self):
-        table = no_interaction_baseline(ScenarioConfig(False, False, Fraction(0)))
+        _, table = run_scenario(ScenarioConfig(False, False, Fraction(0)))
         for dp in "cd":
             for dm in "cd":
                 assert table.prob(dp, dm) == Fraction(1, 4)
-
-    def test_requires_p_zero(self):
-        with pytest.raises(SimulationError):
-            no_interaction_baseline(ScenarioConfig(True, True, Fraction(1)))
 
 
 class TestDensityCrossCheck:
@@ -190,6 +188,10 @@ class TestConfigValidation:
     def test_unknown_backend(self):
         with pytest.raises(SimulationError):
             ScenarioConfig(True, True, Fraction(1), "symbolic")
+
+    def test_backend_name_is_kept(self):
+        cfg = ScenarioConfig(True, True, backend="float")
+        assert cfg.backend == "float" and cfg.backend is FLOAT
 
     @pytest.mark.parametrize("field", ["bs2_plus", "reaction_prob", "backend"])
     def test_fields_cannot_be_set(self, field):

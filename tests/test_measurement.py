@@ -20,7 +20,7 @@ S, u, v, c, d = PathLabel
 
 
 def ket(plus, minus):
-    return BasisKet.pair(plus, minus)
+    return BasisKet(plus, minus)
 
 
 PARTICLE_KETS = [ket(v, v), ket(v, u), ket(u, v), ket(u, u)]

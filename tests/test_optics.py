@@ -7,7 +7,8 @@ import pytest
 
 from hardysim.amplitude import ExactScalar, I, INV_SQRT2, ONE
 from hardysim.errors import ModeAliasingError, SimulationError
-from hardysim.optics import MINUS, PLUS, apply_bs, apply_bs1_pair, relabel
+from hardysim.optics import (MINUS, PLUS, apply_bs, apply_bs1_pair,
+                             relabel_ket_map)
 from hardysim.state import BasisKet, PathLabel, StateVector, make_input
 from test_state import eq3_state, eq6_state, random_state
 
@@ -15,7 +16,7 @@ S, u, v, c, d = PathLabel
 
 
 def ket(plus, minus):
-    return BasisKet.pair(plus, minus)
+    return BasisKet(plus, minus)
 
 
 class TestApplyBs:
@@ -60,19 +61,18 @@ class TestApplyBs:
 
 def _apply_bs_dagger(sv, arm, in_pair, out_pair):
     """Inverse beam splitter: transmission 1/sqrt2, reflection -i/sqrt2."""
-    from hardysim import amplitude as amp
     from hardysim.state import BasisKet
 
-    one = amp.scalar_one(sv.backend)
-    s = amp.scalar_inv_sqrt2(sv.backend)
-    mi_s = -amp.scalar_i(sv.backend) * s
+    one = sv.backend.one
+    s = sv.backend.inv_sqrt2
+    mi_s = -sv.backend.i * s
 
     def arm_label(k):
         return k.plus if arm == PLUS else k.minus
 
     def with_label(k, lbl):
-        return (BasisKet.pair(lbl, k.minus) if arm == PLUS
-                else BasisKet.pair(k.plus, lbl))
+        return (BasisKet(lbl, k.minus) if arm == PLUS
+                else BasisKet(k.plus, lbl))
 
     def ket_map(k):
         if k.is_absorbed:
@@ -87,6 +87,10 @@ def _apply_bs_dagger(sv, arm, in_pair, out_pair):
         return [(k, one)]
 
     return sv.apply_ket_map(ket_map)
+
+
+def relabel(sv, arm, mapping):
+    return sv.apply_ket_map(relabel_ket_map(sv.backend, arm, mapping))
 
 
 class TestRelabel:
@@ -107,6 +111,11 @@ class TestRelabel:
         sv = eq3_state()
         with pytest.raises(ModeAliasingError):
             relabel(sv, PLUS, {u: c, v: c})
+
+    def test_merging_a_live_label_rejected(self):
+        # u -> v while v stays live would add the u and v amplitudes
+        with pytest.raises(ModeAliasingError):
+            relabel(eq3_state(), PLUS, {u: v})
 
 
 class TestApplyBs1Pair:

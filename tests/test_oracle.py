@@ -116,6 +116,20 @@ def test_float_backend_matches_closed_form():
                 assert abs(table.prob(*cell) - expected) <= 1e-12
 
 
+@pytest.mark.parametrize("p", [F(1, 10**6), F(3, 10**6)])
+def test_float_keeps_small_genuine_cells(p):
+    # the (1 - s)^2 cells are 3e-14 and 3e-13 here, far above the rounding
+    # of the O(1) sums they come from, so none may be pruned to 0; the
+    # density-matrix path computes them to about 1e-3 relative
+    s = math.sqrt(1 - float(p))
+    for layout, (bs2_plus, bs2_minus) in LAYOUTS.items():
+        _, table = run_scenario(ScenarioConfig(bs2_plus, bs2_minus, p, FLOAT))
+        for cell, (w, a, b) in ORACLE[layout].items():
+            if w and a == -b:
+                expected = float(w) * (1 - s) ** 2
+                assert abs(table.prob(*cell) - expected) <= 1e-2 * expected
+
+
 @pytest.mark.parametrize("p, expected", [
     (F(1), F(1, 16)),
     (F(9, 25), F(1, 400)),

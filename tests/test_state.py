@@ -7,7 +7,8 @@ import pytest
 
 from hardysim import amplitude as amp
 from hardysim.amplitude import EXACT, ExactScalar, I, ONE
-from hardysim.errors import EmptyStateError, NonHermitianError
+from hardysim.errors import (EmptyStateError, NonHermitianError,
+                             SimulationError)
 from hardysim.measurement import annihilation_channel, apply_channel
 from hardysim.optics import apply_bs1_pair
 from hardysim.state import (ABSORBED, BasisKet, DensityMatrix, PathLabel,
@@ -18,7 +19,7 @@ S, u, v, c, d = PathLabel
 
 
 def ket(plus, minus):
-    return BasisKet.pair(plus, minus)
+    return BasisKet(plus, minus)
 
 
 def eq3_state():
@@ -46,7 +47,17 @@ def random_state(rng, backend=EXACT, kets=None):
         amps[k] = x if backend == EXACT else x.to_complex()
     sv = StateVector(amps, backend)
     return sv if not sv.is_zero() else StateVector(
-        {kets[0]: amp.scalar_one(backend)}, backend)
+        {kets[0]: amp.backend(backend).one}, backend)
+
+
+@pytest.mark.parametrize("name", ["symbolic", "EXACT"])
+def test_unknown_backend_raises(name):
+    with pytest.raises(SimulationError):
+        StateVector({ket(u, u): ExactScalar(1)}, name)
+    with pytest.raises(SimulationError):
+        DensityMatrix({(ket(u, u), ket(u, u)): ExactScalar(1)}, name)
+    with pytest.raises(SimulationError):
+        make_input(name)
 
 
 class TestBasisKet:
@@ -192,13 +203,16 @@ class TestDensity:
         assert sv.support() == {ket(u, u)}
 
     def test_float_cancellation_residue_is_pruned(self):
-        # a value at most FLOAT_TOL times the largest is dropped, one above kept
+        # a value at most RESIDUE_REL (4 ulp) times the largest is dropped;
+        # a genuine small value far above rounding is kept
         sv = StateVector({ket(u, u): complex(0.5), ket(u, v): complex(1e-17),
                           ket(v, u): complex(1e-12)}, amp.FLOAT)
         assert sv.support() == {ket(u, u), ket(v, u)}
         rho = DensityMatrix({(ket(u, u), ket(u, u)): complex(0.25),
-                             (ket(v, v), ket(v, v)): complex(1e-14)}, amp.FLOAT)
-        assert set(rho.entries) == {(ket(u, u), ket(u, u))}
+                             (ket(v, v), ket(v, v)): complex(1e-14),
+                             (ket(v, u), ket(v, u)): complex(1e-17)}, amp.FLOAT)
+        assert set(rho.entries) == {(ket(u, u), ket(u, u)),
+                                    (ket(v, v), ket(v, v))}
 
 
 class TestDump:

@@ -118,7 +118,7 @@ def _load_config(path: str) -> hardy.ScenarioConfig:
     if isinstance(p_raw, bool):  # Fraction(True) would read as p = 1
         raise ConfigError(f"bad reaction probability {p_raw!r}")
     try:
-        p = Fraction(p_raw) if isinstance(p_raw, str) else Fraction(p_raw)
+        p = Fraction(p_raw)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad reaction probability {p_raw!r}") from exc
     backend = raw.get("backend", EXACT)

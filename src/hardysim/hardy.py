@@ -88,18 +88,21 @@ class OutcomeTable:
         return OutcomeTable(rows, zero, True, self.config)
 
 
+_UV = (PathLabel.u, PathLabel.v)
+_CD = (PathLabel.c, PathLabel.d)
+_REMOVED_BS2 = {PathLabel.u: PathLabel.c, PathLabel.v: PathLabel.d}
+
+
 def _bs2_stage(obj, present_plus: bool, present_minus: bool):
     """Second beam splitters (or relabelings) on a state or density matrix."""
     backend = obj.backend
-    uv = (PathLabel.u, PathLabel.v)
-    cd = (PathLabel.c, PathLabel.d)
-    removed = {PathLabel.u: PathLabel.c, PathLabel.v: PathLabel.d}
     for arm, present in ((optics.PLUS, present_plus),
                          (optics.MINUS, present_minus)):
         if present:
-            obj = obj.apply_ket_map(optics.bs_ket_map(backend, arm, uv, cd))
+            obj = obj.apply_ket_map(optics.bs_ket_map(backend, arm, _UV, _CD))
         else:
-            obj = obj.apply_ket_map(optics.relabel_ket_map(backend, arm, removed))
+            obj = obj.apply_ket_map(
+                optics.relabel_ket_map(backend, arm, _REMOVED_BS2))
     return obj
 
 

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from hardysim.amplitude import ExactScalar, I, INV_SQRT2, ONE
+from hardysim import optics
+from hardysim.amplitude import EXACT, ExactScalar, I, INV_SQRT2, ONE
 from hardysim.errors import ModeAliasingError, SimulationError
 from hardysim.optics import (MINUS, PLUS, apply_bs, apply_bs1_pair,
-                             relabel_ket_map)
+                             bs_ket_map, relabel_ket_map)
 from hardysim.state import BasisKet, PathLabel, StateVector, make_input
 from test_state import eq3_state, eq6_state, random_state
 
@@ -116,6 +117,68 @@ class TestRelabel:
         # u -> v while v stays live would add the u and v amplitudes
         with pytest.raises(ModeAliasingError):
             relabel(eq3_state(), PLUS, {u: v})
+
+
+@pytest.fixture
+def empty_caches():
+    """Start from no memoized maps, so the build order under test is real."""
+    optics.bs_ket_map.cache_clear()
+    optics._relabel_ket_map.cache_clear()
+
+
+class TestMemoizedKetMaps:
+    @pytest.mark.parametrize("build, bad, good, image", [
+        (lambda: bs_ket_map(EXACT, MINUS, (u, v), (c, d)), ket(u, c),
+         ket(u, u), [(ket(u, c), INV_SQRT2), (ket(u, d), I * INV_SQRT2)]),
+        (lambda: relabel_ket_map(EXACT, PLUS, {u: v}), ket(v, S),
+         ket(u, S), [(ket(v, S), ONE)]),
+    ], ids=["bs", "relabel"])
+    def test_an_aliasing_ket_raises_on_every_lookup(self, build, bad, good,
+                                                    image):
+        ket_map = build()
+        for _ in range(2):
+            with pytest.raises(ModeAliasingError):
+                ket_map(bad)
+            with pytest.raises(ModeAliasingError):
+                build()(bad)
+        assert list(ket_map(good)) == image
+
+    def test_a_non_injective_relabel_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ModeAliasingError):
+                relabel_ket_map(EXACT, PLUS, {u: c, v: c})
+
+    @pytest.mark.parametrize("order", [("exact", "float"), ("float", "exact")])
+    def test_each_backend_keeps_its_coefficients(self, empty_caches, order):
+        for backend in order:
+            kind = ExactScalar if backend == "exact" else complex
+            for ket_map in (bs_ket_map(backend, PLUS, (u, v), (c, d)),
+                            relabel_ket_map(backend, PLUS, {u: c, v: d})):
+                coefficients = [x for _, x in ket_map(ket(u, S))]
+                assert coefficients
+                assert all(type(x) is kind for x in coefficients)
+
+    def test_a_backend_name_and_its_instance_share_one_map(self):
+        assert (bs_ket_map("exact", PLUS, (u, v), (c, d))
+                is bs_ket_map(EXACT, PLUS, (u, v), (c, d)))
+        assert (relabel_ket_map("exact", MINUS, {u: c, v: d})
+                is relabel_ket_map(EXACT, MINUS, {u: c, v: d}))
+        ket_map = bs_ket_map(EXACT, PLUS, (u, v), (c, d))
+        assert ket_map(ket(v, S)) is ket_map(ket(v, S))
+
+    def test_different_mappings_give_different_images(self):
+        straight = relabel_ket_map(EXACT, PLUS, {u: c, v: d})
+        crossed = relabel_ket_map(EXACT, PLUS, {u: d, v: c})
+        assert list(straight(ket(u, S))) == [(ket(c, S), ONE)]
+        assert list(crossed(ket(u, S))) == [(ket(d, S), ONE)]
+
+    def test_equal_mappings_give_equal_images(self):
+        first = relabel_ket_map(EXACT, MINUS, {u: c, v: d})
+        again = relabel_ket_map(EXACT, MINUS, dict([(u, c), (v, d)]))
+        reordered = relabel_ket_map(EXACT, MINUS, {v: d, u: c})
+        assert again is first
+        for k in (ket(S, u), ket(S, v), ket(S, S), ket(c, u)):
+            assert list(reordered(k)) == list(first(k))
 
 
 class TestApplyBs1Pair:

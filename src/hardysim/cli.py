@@ -1,7 +1,8 @@
 """Command-line front end: scenario runs, summary tables, LHV audit, HOM demo.
 
-Exit codes: 0 success, 2 usage or config-file errors, 3 domain errors
-(e.g. reaction probability outside [0, 1]).
+Exit codes: 0 success; 2 usage or config-file errors (unreadable or
+malformed config, oversized reaction-probability text, unwritable export);
+3 domain errors (e.g. reaction probability outside [0, 1]).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -19,6 +21,14 @@ from .errors import SimulationError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
+
+# A reaction probability given as text may be at most P_TEXT_MAX_CHARS long,
+# with a decimal exponent of at most P_EXPONENT_MAX in size (beyond any
+# double's range). Longer text or larger exponents would make Fraction build,
+# and the output print, integers of unbounded size.
+P_TEXT_MAX_CHARS = 100
+P_EXPONENT_MAX = 400
+_EXPONENT = re.compile(r"e([+-]?\d+)", re.IGNORECASE)
 
 
 def _prob_fields(value):
@@ -98,11 +108,24 @@ def _write_json(path: str, payload):
     _write_atomic(path, write)
 
 
+def _check_p_text(text: str):
+    """Reject p text past P_TEXT_MAX_CHARS or P_EXPONENT_MAX before Fraction."""
+    if len(text) > P_TEXT_MAX_CHARS:
+        raise ConfigError(f"reaction probability text longer than "
+                          f"{P_TEXT_MAX_CHARS} characters")
+    match = _EXPONENT.search(text)
+    if match and abs(int(match[1])) > P_EXPONENT_MAX:
+        raise ConfigError(f"reaction probability exponent {match[1]} beyond "
+                          f"+-{P_EXPONENT_MAX}")
+
+
 def _load_config(path: str) -> hardy.ScenarioConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bytes that are not UTF-8 and integer
+        # literals beyond the int string limit
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -117,6 +140,8 @@ def _load_config(path: str) -> hardy.ScenarioConfig:
     p_raw = raw.get("reaction_probability", raw.get("p", 1))
     if isinstance(p_raw, bool):  # Fraction(True) would read as p = 1
         raise ConfigError(f"bad reaction probability {p_raw!r}")
+    if isinstance(p_raw, str):
+        _check_p_text(p_raw)
     try:
         p = Fraction(p_raw)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:

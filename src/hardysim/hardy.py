@@ -1,7 +1,8 @@
 """Full-experiment orchestration over the four second-beam-splitter layouts.
 
-Pipeline: source state -> both first beam splitters -> annihilation step at
-the meeting point (projection at p = 1, Kraus channel otherwise) -> per arm
+Pipeline: source state -> both first beam splitters -> annihilation channel
+at the meeting point (at p = 0 and p = 1 its pure no-photon branch, the
+knowledge measurement; a density matrix in between) -> per arm
 either the second beam splitter or a direct path-to-detector relabeling ->
 detector coincidence table over {c, d} x {c, d} plus the photon branch.
 """
@@ -119,31 +120,22 @@ def run_scenario(cfg: ScenarioConfig):
     """Run one layout; returns (final state or density matrix, outcome table).
 
     The table is unconditional: detector rows plus the photon probability
-    sum to one. At the endpoints p = 0 and p = 1 the state stays pure and a
+    sum to one. At p = 0 and p = 1 the channel is projective: its pure
+    no-photon branch (project_knowledge) gives the whole table and a
     StateVector is returned; in between the channel genuinely mixes and the
     result is a DensityMatrix.
     """
     p = cfg.reaction_prob
     sv = optics.apply_bs1_pair(make_input(cfg.backend))
-
-    if p == 1:
-        projected, survival = measurement.project_knowledge(
-            sv, measurement.hardy_projector())
-        final = _bs2_stage(projected, cfg.bs2_plus, cfg.bs2_minus)
-        gamma = 1 - survival
-        scale = survival
-        rows = {(dp, dm): final.probability(_is_coincidence(dp, dm)) * scale
-                for dp in DETECTORS for dm in DETECTORS}
-        return final, OutcomeTable(rows, gamma, False, cfg.key)
-
-    if p == 0:
-        final = _bs2_stage(sv, cfg.bs2_plus, cfg.bs2_minus)
-        rows = {(dp, dm): final.probability(_is_coincidence(dp, dm))
-                for dp in DETECTORS for dm in DETECTORS}
-        zero = amp.real_part(cfg.backend.zero)
-        return final, OutcomeTable(rows, zero, False, cfg.key)
-
     ch = measurement.annihilation_channel(p, cfg.backend)
+
+    if p in (0, 1):
+        kept, survival = measurement.project_knowledge(sv, ch)
+        final = _bs2_stage(kept, cfg.bs2_plus, cfg.bs2_minus)
+        rows = {(dp, dm): final.probability(_is_coincidence(dp, dm)) * survival
+                for dp in DETECTORS for dm in DETECTORS}
+        return final, OutcomeTable(rows, 1 - survival, False, cfg.key)
+
     rho = measurement.apply_channel(pure_to_density(sv), ch)
     final = _bs2_stage(rho, cfg.bs2_plus, cfg.bs2_minus)
     rows = {(dp, dm): final.diagonal_probability(_is_coincidence(dp, dm))

@@ -1,18 +1,18 @@
-"""Knowledge projection and its generalization to a two-outcome Kraus channel.
+"""The annihilation channel, and the knowledge measurement as its no-photon branch.
 
-When the annihilation at the meeting point is certain (p = 1), knowing that
-no photon appeared projects the state onto the non-annihilating kets and
-renormalizes. For p < 1 the same physics is a quantum channel with two
-Kraus elements: a "pass" element that damps the annihilating ket by
-sqrt(1-p), and an "absorb" element that transfers it to the photon sink
-with weight sqrt(p). The channel output is in general a mixed state, so it
-acts on density matrices.
+For a reaction probability p the annihilation at the meeting point is a
+quantum channel with two Kraus elements: a "pass" element that damps the
+annihilating ket by sqrt(1-p), and an "absorb" element that transfers it to
+the photon sink with weight sqrt(p). The channel output is in general a
+mixed state, so it acts on density matrices. Knowing that no photon
+appeared keeps the pass branch; at p = 1 that is the projection onto the
+non-annihilating kets, and at p = 0 it is the identity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, Tuple
 
 from . import amplitude as amp
 from .amplitude import EXACT
@@ -22,65 +22,22 @@ from .state import ABSORBED, BasisKet, DensityMatrix, PathLabel, StateVector
 DOOMED = BasisKet(PathLabel.u, PathLabel.u)
 
 
-class KnowledgeProjector:
-    """Projector onto the kets whose outcome is compatible with 'no photon'."""
-
-    __slots__ = ("kept",)
-
-    def __init__(self, kept: FrozenSet[BasisKet]):
-        if not kept:
-            raise SimulationError("projector kept-set is empty")
-        if ABSORBED in kept:
-            raise SimulationError("the absorbed ket cannot be kept")
-        self.kept = kept
-
-
-def hardy_projector() -> KnowledgeProjector:
-    """The projector that removes the annihilating u+u- component."""
-    kept = frozenset({
-        BasisKet(PathLabel.v, PathLabel.v),
-        BasisKet(PathLabel.v, PathLabel.u),
-        BasisKet(PathLabel.u, PathLabel.v),
-    })
-    return KnowledgeProjector(kept)
-
-
-def project_knowledge(sv: StateVector,
-                      proj: KnowledgeProjector) -> Tuple[StateVector, Fraction]:
-    """Project onto the kept set; returns (projected state, survival probability).
-
-    The projected state keeps its unnormalized amplitudes; its tracked norm
-    shrinks accordingly, so downstream probabilities renormalize on demand.
-    """
-    if sv.is_zero():
-        raise EmptyStateError("empty state")
-    survival = sv.probability(lambda k: k in proj.kept)
-    if survival == 0:
-        raise AnnihilatedError("state annihilated with certainty")
-    projected = StateVector({k: a for k, a in sv.amps.items() if k in proj.kept},
-                            sv.backend)
-    return projected, survival
-
-
 class AnnihilationChannel:
     """Two-outcome channel: damp the doomed ket, or absorb it into the sink.
 
     Kraus elements (identity elsewhere):
-      pass:   |doomed> -> sqrt(1-p) |doomed>
-      absorb: |doomed> -> sqrt(p)   |gamma>
+      pass:   |DOOMED> -> sqrt(1-p) |DOOMED>
+      absorb: |DOOMED> -> sqrt(p)   |ABSORBED>
     The sign of the absorbed branch is unobservable here; +sqrt(p) is used.
     """
 
-    __slots__ = ("p", "backend", "doomed", "gamma", "sqrt_p", "sqrt_1mp")
+    __slots__ = ("p", "backend", "sqrt_p", "sqrt_1mp")
 
-    def __init__(self, p: Fraction, backend: str = EXACT,
-                 doomed: BasisKet = DOOMED, gamma: BasisKet = ABSORBED):
+    def __init__(self, p: Fraction, backend: str = EXACT):
         if not (0 <= p <= 1):
             raise SimulationError(f"reaction probability {p} outside [0, 1]")
         self.p = p
         self.backend = amp.backend(backend)
-        self.doomed = doomed
-        self.gamma = gamma
         self.sqrt_p = self.backend.sqrt(p)
         self.sqrt_1mp = self.backend.sqrt(1 - p)
 
@@ -88,7 +45,7 @@ class AnnihilationChannel:
         one = self.backend.one
 
         def ket_map(ket: BasisKet):
-            if ket == self.doomed:
+            if ket == DOOMED:
                 return [(ket, self.sqrt_1mp)]
             return [(ket, one)]
 
@@ -96,14 +53,29 @@ class AnnihilationChannel:
 
     def absorb_map(self):
         def ket_map(ket: BasisKet):
-            if ket == self.doomed:
-                return [(self.gamma, self.sqrt_p)]
+            if ket == DOOMED:
+                return [(ABSORBED, self.sqrt_p)]
             return []
 
         return ket_map
 
-    def kraus_maps(self):
-        return [self.pass_map(), self.absorb_map()]
+
+def project_knowledge(sv: StateVector,
+                      ch: AnnihilationChannel) -> Tuple[StateVector, Fraction]:
+    """Keep the no-photon branch; returns (kept state, survival probability).
+
+    The kept state is the channel's pass element applied to sv, with its
+    amplitudes unnormalized; its tracked norm shrinks accordingly, so
+    downstream probabilities renormalize on demand. At p = 1 this is the
+    projection onto the non-annihilating kets, at p = 0 the state itself.
+    """
+    if sv.is_zero():
+        raise EmptyStateError("empty state")
+    kept = sv.apply_ket_map(ch.pass_map())
+    survival = sv.backend.ratio(kept._norm_sq, sv._norm_sq)
+    if survival == 0:
+        raise AnnihilatedError("state annihilated with certainty")
+    return kept, survival
 
 
 def annihilation_channel(p: Fraction, backend: str = EXACT) -> AnnihilationChannel:

@@ -89,9 +89,6 @@ class StateVector:
     def is_zero(self) -> bool:
         return not self.amps
 
-    def amplitude(self, ket: BasisKet):
-        return self.amps.get(ket, self.backend.zero)
-
     def support(self):
         return set(self.amps)
 

@@ -13,7 +13,7 @@ from hardysim.bosonic import (BosonicState, apply_bs_bosonic,
 from hardysim.hardy import ScenarioConfig, full_table, run_scenario
 from hardysim.lhv import ConstraintSet, audit, quantum_constraints
 from hardysim.measurement import (annihilation_channel, apply_channel,
-                                  condition_on_no_absorption, hardy_projector,
+                                  condition_on_no_absorption,
                                   project_knowledge)
 from hardysim.optics import MINUS, PLUS, apply_bs, apply_bs1_pair
 from hardysim.state import (ABSORBED, BasisKet, DensityMatrix, PathLabel,
@@ -56,7 +56,7 @@ def test_criterion_1():
 @criterion(2, "knowledge projection: relative amplitudes {1,i,i}, survival 3/4")
 def test_criterion_2():
     sv = apply_bs1_pair(make_input())
-    projected, survival = project_knowledge(sv, hardy_projector())
+    projected, survival = project_knowledge(sv, annihilation_channel(Fraction(1)))
     assert survival == Fraction(3, 4)
     base = projected.amps[ket(v, v)]
     assert projected.amps[ket(v, u)] == I * base
@@ -103,7 +103,7 @@ def test_criterion_5():
     # p=1: density path equals pure path, exact density equality
     out = apply_channel(rho, annihilation_channel(Fraction(1)))
     conditioned, surviving = condition_on_no_absorption(out)
-    projected, survival = project_knowledge(sv, hardy_projector())
+    projected, survival = project_knowledge(sv, annihilation_channel(Fraction(1)))
     assert surviving == survival
     assert conditioned.equals(pure_to_density(projected))
     # p=0 with both BS2 in: certain double detection at c

@@ -1,16 +1,20 @@
 """CLI contract: commands, exit codes, export round-trips."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hardysim
-from hardysim.cli import main
+from hardysim.cli import P_EXPONENT_MAX, P_TEXT_MAX_CHARS, main
 
 
 def write_config(tmp_path, **fields):
@@ -82,6 +86,52 @@ class TestRun:
         path.write_text('{"bs2_plus": true, "bs2_minus": true, "p": %s}' % p_text)
         assert main(["run", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestInputContract:
+    """Undecodable, oversized or too deeply nested config input exits 2."""
+
+    LAYOUT = '{"bs2_plus": true, "bs2_minus": true'
+
+    def run_bytes(self, tmp_path, capsys, data: bytes):
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        return main(["run", "--config", str(path)]), capsys.readouterr()
+
+    def assert_config_error(self, tmp_path, capsys, data: bytes):
+        code, captured = self.run_bytes(tmp_path, capsys, data)
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    def test_not_utf8(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys,
+                                 b"\xff\xfe" + (self.LAYOUT + "}").encode())
+
+    def test_integer_literal_beyond_int_string_limit(self, tmp_path, capsys):
+        text = self.LAYOUT + ', "p": 1' + "0" * 4999 + "}"
+        self.assert_config_error(tmp_path, capsys, text.encode())
+
+    def test_array_nested_100000_deep(self, tmp_path, capsys):
+        text = self.LAYOUT + ', "p": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        self.assert_config_error(tmp_path, capsys, text.encode())
+
+    @pytest.mark.parametrize("p_text, backend", [
+        ("1e-5000", "float"),
+        ("1e-1000000", "exact"),
+        ("1E+401", "exact"),
+        ("0." + "0" * P_TEXT_MAX_CHARS + "1", "float"),
+    ])
+    def test_oversized_p_text(self, tmp_path, capsys, p_text, backend):
+        text = self.LAYOUT + f', "p": "{p_text}", "backend": "{backend}"}}'
+        self.assert_config_error(tmp_path, capsys, text.encode())
+
+    def test_p_text_at_the_caps_runs(self, tmp_path, capsys):
+        p_text = f"1e-{P_EXPONENT_MAX}".ljust(P_TEXT_MAX_CHARS)
+        text = self.LAYOUT + f', "p": "{p_text}", "backend": "float"}}'
+        code, captured = self.run_bytes(tmp_path, capsys, text.encode())
+        assert code == 0
+        assert f"p=1/1{'0' * P_EXPONENT_MAX} " in captured.out
 
 
 class TestExports:
@@ -214,3 +264,43 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=8)
+p_values = json_values | st.sampled_from(
+    ["0", "1", "1/2", "9/25", "0.777821", "1e-5", "-0", " 1 ", "1/0", "nan",
+     "inf", "1e-5000", "1e99999", "1_0", "1e400"]) | st.fractions(
+    min_value=0, max_value=1).map(str)
+configs = st.fixed_dictionaries(
+    {"bs2_plus": st.booleans() | json_values,
+     "bs2_minus": st.booleans() | json_values},
+    optional={"p": p_values, "reaction_probability": p_values,
+              "backend": st.sampled_from(["exact", "float"]) | json_values})
+config_bytes = (st.binary(max_size=64)
+                | json_values.map(lambda v: json.dumps(v).encode())
+                | configs.map(lambda c: json.dumps(c).encode()))
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(config_bytes)
+    def test_any_config_exits_cleanly(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "config.json")
+            with open(config, "wb") as fh:
+                fh.write(data)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["run", "--config", config,
+                             "--csv", os.path.join(tmp, "t.csv"),
+                             "--json", os.path.join(tmp, "t.json")])
+            assert code in (0, 2, 3)
+            if code:
+                assert err.getvalue().startswith("error:")
+            left = sorted(os.listdir(tmp))
+            exports = ["t.csv", "t.json"] if code == 0 else []
+            assert left == sorted(["config.json"] + exports)

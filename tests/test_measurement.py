@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from hardysim.amplitude import FLOAT, ExactScalar, I, ONE
+from hardysim.amplitude import EXACT, FLOAT, ExactScalar, I, ONE
 from hardysim.errors import (AnnihilatedError, SimulationError,
                              UnrepresentableError)
 from hardysim.measurement import (DOOMED, annihilation_channel, apply_channel,
-                                  condition_on_no_absorption, hardy_projector,
+                                  condition_on_no_absorption,
                                   kraus_gram, project_knowledge)
 from hardysim.optics import apply_bs1_pair
 from hardysim.state import (ABSORBED, BasisKet, PathLabel, StateVector,
@@ -26,9 +26,14 @@ def ket(plus, minus):
 PARTICLE_KETS = [ket(v, v), ket(v, u), ket(u, v), ket(u, u)]
 
 
+def certain():
+    """The channel at p = 1, whose no-photon branch is the projection."""
+    return annihilation_channel(Fraction(1))
+
+
 class TestProjectKnowledge:
     def test_eq3_projects_to_eq6(self):
-        projected, survival = project_knowledge(eq3_state(), hardy_projector())
+        projected, survival = project_knowledge(eq3_state(), certain())
         assert survival == Fraction(3, 4)
         assert projected.support() == {ket(v, v), ket(v, u), ket(u, v)}
         assert equal_up_to_global_phase(projected, eq6_state())
@@ -38,20 +43,38 @@ class TestProjectKnowledge:
         assert projected.amps[ket(u, v)] == I * base
 
     def test_already_inside_kept(self):
-        projected, survival = project_knowledge(eq6_state(), hardy_projector())
+        projected, survival = project_knowledge(eq6_state(), certain())
         assert survival == 1
         assert projected.amps == eq6_state().amps
 
     def test_idempotent(self):
-        once, _ = project_knowledge(eq3_state(), hardy_projector())
-        twice, again = project_knowledge(once, hardy_projector())
+        once, _ = project_knowledge(eq3_state(), certain())
+        twice, again = project_knowledge(once, certain())
         assert again == 1
         assert twice.amps == once.amps
 
     def test_certain_annihilation_raises(self):
         sv = StateVector({ket(u, u): ONE})
         with pytest.raises(AnnihilatedError):
-            project_knowledge(sv, hardy_projector())
+            project_knowledge(sv, certain())
+
+    def test_interior_p_damps_the_doomed_ket(self):
+        # sqrt(1 - 9/25) = 4/5; the doomed ket carries 1/4, so survival 91/100
+        sv = eq3_state()
+        kept, survival = project_knowledge(sv, annihilation_channel(Fraction(9, 25)))
+        assert survival == Fraction(91, 100)
+        four_fifths = ExactScalar.from_fraction(Fraction(4, 5))
+        assert kept.amps[DOOMED] == sv.amps[DOOMED] * four_fifths
+        for k in (ket(v, v), ket(v, u), ket(u, v)):
+            assert kept.amps[k] == sv.amps[k]
+
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    def test_p_zero_returns_the_input(self, backend):
+        sv = apply_bs1_pair(make_input(backend))
+        kept, survival = project_knowledge(
+            sv, annihilation_channel(Fraction(0), backend))
+        assert survival == 1
+        assert kept.amps == sv.amps
 
 
 class TestChannelConstruction:
@@ -74,7 +97,7 @@ class TestChannelConstruction:
     @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 2), Fraction(1)])
     def test_kraus_completeness(self, p):
         ch = annihilation_channel(p)
-        gram = kraus_gram(ch.kraus_maps(), PARTICLE_KETS)
+        gram = kraus_gram([ch.pass_map(), ch.absorb_map()], PARTICLE_KETS)
         for a in PARTICLE_KETS:
             for b in PARTICLE_KETS:
                 expected = ONE if a == b else ExactScalar()
@@ -106,7 +129,7 @@ class TestApplyChannel:
         rho = pure_to_density(eq3_state())
         out = apply_channel(rho, annihilation_channel(Fraction(1)))
         conditioned, surviving = condition_on_no_absorption(out)
-        projected, survival = project_knowledge(eq3_state(), hardy_projector())
+        projected, survival = project_knowledge(eq3_state(), certain())
         assert surviving == survival == Fraction(3, 4)
         assert conditioned.equals(pure_to_density(projected))
         assert out.entry(ABSORBED, ABSORBED) == ExactScalar.from_fraction(
@@ -168,14 +191,3 @@ class TestConditioning:
         assert surviving == Fraction(3, 4)
         assert conditioned.equals(pure_to_density(eq6_state()))
 
-
-class TestProjectorType:
-    def test_empty_kept_rejected(self):
-        with pytest.raises(SimulationError):
-            from hardysim.measurement import KnowledgeProjector
-            KnowledgeProjector(frozenset())
-
-    def test_absorbed_not_keepable(self):
-        with pytest.raises(SimulationError):
-            from hardysim.measurement import KnowledgeProjector
-            KnowledgeProjector(frozenset({ABSORBED}))

@@ -214,6 +214,10 @@ class TestDensity:
         assert set(rho.entries) == {(ket(u, u), ket(u, u)),
                                     (ket(v, v), ket(v, v))}
 
+    def test_float_all_zero_state_is_pruned_empty(self):
+        # the cut is 0 when every value is 0; an exact 0j must still go
+        assert StateVector({ket(u, u): 0j}, amp.FLOAT).is_zero()
+
 
 class TestDump:
     def test_canonical_lines(self):

@@ -25,10 +25,11 @@ EXIT_DOMAIN = 3
 # A reaction probability given as text may be at most P_TEXT_MAX_CHARS long,
 # with a decimal exponent of at most P_EXPONENT_MAX in size (beyond any
 # double's range). Longer text or larger exponents would make Fraction build,
-# and the output print, integers of unbounded size.
+# and the output print, integers of unbounded size. The exponent pattern is
+# Fraction's own, underscores between digits included.
 P_TEXT_MAX_CHARS = 100
 P_EXPONENT_MAX = 400
-_EXPONENT = re.compile(r"e([+-]?\d+)", re.IGNORECASE)
+_EXPONENT = re.compile(r"e([+-]?\d+(?:_\d+)*)", re.IGNORECASE)
 
 
 def _prob_fields(value):

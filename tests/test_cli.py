@@ -120,6 +120,8 @@ class TestInputContract:
         ("1e-5000", "float"),
         ("1e-1000000", "exact"),
         ("1E+401", "exact"),
+        ("1e-5_000", "float"),
+        ("1e-1_000_000", "exact"),
         ("0." + "0" * P_TEXT_MAX_CHARS + "1", "float"),
     ])
     def test_oversized_p_text(self, tmp_path, capsys, p_text, backend):
@@ -273,8 +275,8 @@ json_values = st.recursive(
     max_leaves=8)
 p_values = json_values | st.sampled_from(
     ["0", "1", "1/2", "9/25", "0.777821", "1e-5", "-0", " 1 ", "1/0", "nan",
-     "inf", "1e-5000", "1e99999", "1_0", "1e400"]) | st.fractions(
-    min_value=0, max_value=1).map(str)
+     "inf", "1e-5000", "1e99999", "1_0", "1e400", "1e-5_000",
+     "1e4_0_0"]) | st.fractions(min_value=0, max_value=1).map(str)
 configs = st.fixed_dictionaries(
     {"bs2_plus": st.booleans() | json_values,
      "bs2_minus": st.booleans() | json_values},

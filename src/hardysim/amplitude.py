@@ -113,6 +113,11 @@ class ExactScalar:
         o = other if type(other) is ExactScalar else _coerce(other)
         if o is None:
             return NotImplemented
+        # 1 has the one canonical form _ONE_INTS, so x * 1 returns x itself.
+        if o.ints == _ONE_INTS:
+            return self
+        if self.ints == _ONE_INTS:
+            return o
         # Write x = A + B*sqrt2 with A, B Gaussian; sqrt2^2 = 2.
         a0, a1, a2, a3, ad = self.ints
         b0, b1, b2, b3, bd = o.ints
@@ -150,6 +155,8 @@ class ExactScalar:
 
     def conjugate(self) -> "ExactScalar":
         n0, n1, n2, n3, d = self.ints
+        if not (n1 or n3):  # real; instances are immutable, so share it
+            return self
         return _make(n0, -n1, n2, -n3, d)
 
     def norm_sq(self) -> "ExactScalar":
@@ -221,6 +228,7 @@ class ExactScalar:
 
 
 _ZERO_INTS = (0, 0, 0, 0, 1)
+_ONE_INTS = (1, 0, 0, 0, 1)
 _new_scalar = object.__new__
 _set_ints = ExactScalar.ints.__set__
 
@@ -360,10 +368,6 @@ def backend(name) -> Backend:
         return _BACKENDS[name]
     except (KeyError, TypeError):
         raise SimulationError(f"unknown backend {name!r}") from None
-
-
-def conj(x):
-    return x.conjugate()
 
 
 def real_part(x):

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import hardy
 from .amplitude import EXACT, FLOAT, ExactScalar
-from .errors import SimulationError
+from .errors import SimulationError, echo
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -137,19 +137,19 @@ def _load_config(path: str) -> hardy.ScenarioConfig:
         raise ConfigError(f"config missing field {exc}") from exc
     for name, value in (("bs2_plus", bs2_plus), ("bs2_minus", bs2_minus)):
         if not isinstance(value, bool):
-            raise ConfigError(f"{name} must be true or false, got {value!r}")
+            raise ConfigError(f"{name} must be true or false, got {echo(repr(value))}")
     p_raw = raw.get("reaction_probability", raw.get("p", 1))
     if isinstance(p_raw, bool):  # Fraction(True) would read as p = 1
-        raise ConfigError(f"bad reaction probability {p_raw!r}")
+        raise ConfigError(f"bad reaction probability {echo(repr(p_raw))}")
     if isinstance(p_raw, str):
         _check_p_text(p_raw)
     try:
         p = Fraction(p_raw)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"bad reaction probability {p_raw!r}") from exc
+        raise ConfigError(f"bad reaction probability {echo(repr(p_raw))}") from exc
     backend = raw.get("backend", EXACT)
     if backend not in (EXACT, FLOAT):
-        raise ConfigError(f"unknown backend {backend!r}")
+        raise ConfigError(f"unknown backend {echo(repr(backend))}")
     return hardy.ScenarioConfig(bs2_plus, bs2_minus, p, backend)
 
 

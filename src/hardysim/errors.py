@@ -1,4 +1,12 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator; echo() bounds the values they quote."""
+
+ECHO_MAX_CHARS = 80
+
+
+def echo(text: str) -> str:
+    """An offending value's text as an error message quotes it: cut to
+    ECHO_MAX_CHARS characters, with "..." if anything was cut."""
+    return text if len(text) <= ECHO_MAX_CHARS else text[:ECHO_MAX_CHARS] + "..."
 
 
 class SimulationError(Exception):

@@ -16,7 +16,7 @@ from typing import Dict, Tuple
 
 from . import amplitude as amp
 from .amplitude import EXACT
-from .errors import AnnihilatedError, EmptyStateError, SimulationError
+from .errors import AnnihilatedError, EmptyStateError, SimulationError, echo
 from .state import ABSORBED, BasisKet, DensityMatrix, PathLabel, StateVector
 
 DOOMED = BasisKet(PathLabel.u, PathLabel.u)
@@ -35,7 +35,7 @@ class AnnihilationChannel:
 
     def __init__(self, p: Fraction, backend: str = EXACT):
         if not (0 <= p <= 1):
-            raise SimulationError(f"reaction probability {p} outside [0, 1]")
+            raise SimulationError(f"reaction probability {echo(str(p))} outside [0, 1]")
         self.p = p
         self.backend = amp.backend(backend)
         self.sqrt_p = self.backend.sqrt(p)
@@ -103,7 +103,7 @@ def kraus_gram(ket_maps, kets):
                 for (xa, ca) in images[a]:
                     for (xb, cb) in images[b]:
                         if xa == xb:
-                            term = amp.conj(ca) * cb
+                            term = ca.conjugate() * cb
                             total = term if total is None else total + term
                 if total is not None:
                     key = (a, b)

@@ -79,7 +79,7 @@ class StateVector:
         self.amps = self.backend.prune(amps)
         total = self.backend.zero
         for a in self.amps.values():
-            total = total + a * amp.conj(a)
+            total = total + a * a.conjugate()
         self._norm_sq = total
 
     def norm_sq(self):
@@ -102,7 +102,7 @@ class StateVector:
         for k, a in self.amps.items():
             b = other.amps.get(k)
             if b is not None:
-                total = total + amp.conj(a) * b
+                total = total + a.conjugate() * b
         return total
 
     def apply_ket_map(self, ket_map: KetMap) -> "StateVector":
@@ -121,7 +121,7 @@ class StateVector:
         kept = self.backend.zero
         for k, a in self.amps.items():
             if predicate(k):
-                kept = kept + a * amp.conj(a)
+                kept = kept + a * a.conjugate()
         return self.backend.ratio(kept, self._norm_sq)
 
     def dump(self) -> str:
@@ -152,7 +152,7 @@ def equal_up_to_global_phase(a: StateVector, b: StateVector,
     if strict:
         return a.amps == b.amps
     overlap = a.inner(b)
-    return a.backend.close(overlap * amp.conj(overlap), a._norm_sq * b._norm_sq)
+    return a.backend.close(overlap * overlap.conjugate(), a._norm_sq * b._norm_sq)
 
 
 class DensityMatrix:
@@ -170,7 +170,7 @@ class DensityMatrix:
             mirror = self.entries.get((b, a))
             if mirror is None:
                 raise NonHermitianError(f"missing conjugate entry for ({a}, {b})")
-            if not self.backend.close(val, amp.conj(mirror)):
+            if not self.backend.close(val, mirror.conjugate()):
                 raise NonHermitianError(f"entry ({a}, {b}) breaks Hermiticity")
 
     def entry(self, a: BasisKet, b: BasisKet):
@@ -207,12 +207,15 @@ class DensityMatrix:
         return amp.real_part(total)
 
     def apply_ket_map(self, ket_map: KetMap) -> "DensityMatrix":
-        """rho -> U rho U^dagger for U given as a linear ket map."""
+        """rho -> U rho U^dagger for U given as a linear ket map; each image
+        is read more than once, so it must be a tuple or list, not an iterator."""
         out: Dict[Tuple[BasisKet, BasisKet], object] = {}
         for (a, b), val in self.entries.items():
+            bra = ket_map(b)
             for a2, ca in ket_map(a):
-                for b2, cb in ket_map(b):
-                    term = val * ca * amp.conj(cb)
+                vca = val * ca
+                for b2, cb in bra:
+                    term = vca * cb.conjugate()
                     key = (a2, b2)
                     cur = out.get(key)
                     out[key] = term if cur is None else cur + term
@@ -236,5 +239,5 @@ def pure_to_density(sv: StateVector) -> DensityMatrix:
     entries = {}
     for a, va in sv.amps.items():
         for b, vb in sv.amps.items():
-            entries[(a, b)] = va * amp.conj(vb) * inv
+            entries[(a, b)] = va * vb.conjugate() * inv
     return DensityMatrix(entries, sv.backend, check=False)

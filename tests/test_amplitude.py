@@ -189,6 +189,10 @@ class RefScalar:
                          a0 * b2 + a2 * b0 - a1 * b3 - a3 * b1,
                          a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1)
 
+    def conjugate(self):
+        a0, a1, a2, a3 = self.q
+        return RefScalar(a0, -a1, a2, -a3)
+
     def inverse(self):
         # multiply by the sqrt2-conjugate, then by the complex conjugate
         a0, a1, a2, a3 = self.q
@@ -198,10 +202,29 @@ class RefScalar:
         return conj2 * RefScalar(g0 / mag, -g1 / mag, 0, 0)
 
 
-ref_coeffs = st.one_of(st.just(Fraction(0)),
+ref_coeffs = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
                        st.fractions(min_value=-1000, max_value=1000,
                                     max_denominator=60))
 coeff_lists = st.lists(ref_coeffs, min_size=4, max_size=4)
+
+
+def _place(terms):
+    """Four coefficients: the given (slot, q) pairs, zero elsewhere."""
+    qs = [Fraction(0)] * 4
+    for slot, q in terms:
+        qs[slot] = q
+    return qs
+
+
+# Operands that hit the short cuts and their edges often: 0, +-1 and other
+# rationals, real values q0 + q2*sqrt2 (1 + q2*sqrt2 among them) and single
+# terms, besides general values.
+operands = st.one_of(
+    coeff_lists,
+    ref_coeffs.map(lambda q: _place([(0, q)])),
+    st.tuples(ref_coeffs, ref_coeffs).map(lambda t: _place([(0, t[0]), (2, t[1])])),
+    st.tuples(st.integers(0, 3), ref_coeffs).map(lambda t: _place([t])),
+)
 
 
 def assert_canonical(x):
@@ -217,8 +240,8 @@ def assert_matches(x, ref):
     assert all(type(q) is Fraction for q in (x.q0, x.q1, x.q2, x.q3))
 
 
-@settings(max_examples=200, deadline=None)
-@given(coeff_lists, coeff_lists)
+@settings(max_examples=400, deadline=None)
+@given(operands, operands)
 def test_differential_against_fraction_reference(ca, cb):
     a, b = ExactScalar(*ca), ExactScalar(*cb)
     ra, rb = RefScalar(*ca), RefScalar(*cb)
@@ -227,12 +250,45 @@ def test_differential_against_fraction_reference(ca, cb):
     assert_matches(a - b, ra - rb)
     assert_matches(-a, RefScalar(0, 0, 0, 0) - ra)
     assert_matches(a * b, ra * rb)
+    assert_matches(a.conjugate(), ra.conjugate())
     assert (a == b) == (ra.q == rb.q)
     if any(ra.q):
         assert_matches(a.inverse(), ra.inverse())
     # equal values built along different routes are equal and hash alike
     assert a * b == b * a and hash(a * b) == hash(b * a)
     assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+
+
+class TestShortCuts:
+    """Multiplying by 1 and conjugating a real value skip the arithmetic;
+    the results must still be the reference values, in canonical form."""
+
+    @pytest.mark.parametrize("slot", range(4))  # c, c*i, c*sqrt2, c*i*sqrt2
+    @pytest.mark.parametrize("c", [Fraction(3, 7), Fraction(-2), Fraction(1)])
+    def test_conjugate_of_each_monomial(self, slot, c):
+        qs = _place([(slot, c)])
+        assert_matches(ExactScalar(*qs).conjugate(), RefScalar(*qs).conjugate())
+
+    @settings(max_examples=200, deadline=None)
+    @given(operands)
+    def test_times_one_and_minus_one(self, qs):
+        x, rx = ExactScalar(*qs), RefScalar(*qs)
+        for unit in (1, Fraction(1), ONE):
+            assert_matches(x * unit, rx)
+            assert_matches(unit * x, rx)
+        minus = RefScalar(-1, 0, 0, 0)
+        assert_matches(x * -1, rx * minus)
+        assert_matches(-1 * x, rx * minus)
+        assert_matches(x * -ONE, rx * minus)
+
+    @pytest.mark.parametrize("qs", [(1, 1, 0, 0), (1, 0, Fraction(1, 2), 0),
+                                    (1, 0, 0, -1), (Fraction(1, 2), 0, 0, 0),
+                                    (2, 0, 0, 0), (0, 1, 0, 0)])
+    def test_values_near_one_are_multiplied(self, qs):
+        x = ExactScalar(Fraction(2, 3), Fraction(-5), Fraction(1, 4), Fraction(3))
+        rx = RefScalar(Fraction(2, 3), Fraction(-5), Fraction(1, 4), Fraction(3))
+        assert_matches(x * ExactScalar(*qs), rx * RefScalar(*qs))
+        assert_matches(ExactScalar(*qs) * x, RefScalar(*qs) * rx)
 
 
 class TestRepresentation:

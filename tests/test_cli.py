@@ -136,6 +136,26 @@ class TestInputContract:
         assert f"p=1/1{'0' * P_EXPONENT_MAX} " in captured.out
 
 
+class TestErrorEcho:
+    """An error line quotes at most a bounded prefix of the offending value."""
+
+    LAYOUT = TestInputContract.LAYOUT
+
+    @pytest.mark.parametrize("text, code", [
+        ('{"bs2_plus": "' + "x" * 1_000_000 + '", "bs2_minus": true}', 2),
+        (LAYOUT + ', "p": 1' + "0" * 3999 + "}", 3),
+        (LAYOUT + ', "p": [' + ", ".join(["1"] * 100_000) + "]}", 2),
+        (LAYOUT + ', "backend": "' + "y" * 100_000 + '"}', 2),
+    ], ids=["1MB-bs2_plus", "4000-digit-p", "100000-element-p", "long-backend"])
+    def test_huge_value_gives_a_short_error(self, tmp_path, capsys, text, code):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["run", "--config", str(path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.encode()) < 300
+
+
 class TestExports:
     def test_csv_round_trip(self, tmp_path, capsys):
         cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True, p="1")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hardysim import amplitude
 from hardysim.amplitude import EXACT, FLOAT, I
 from hardysim.errors import SimulationError
 from hardysim.hardy import (CONFIG_KEYS, OutcomeTable, ScenarioConfig,
@@ -220,3 +221,33 @@ class TestOutcomeTable:
         assert table == again
         again.config = "OO"
         assert table != again
+
+
+class TestWorkBudget:
+    """ExactScalar constructions per exact scenario, counted, not timed.
+
+    The sweep is the benchmark's exact one: 4 layouts x 9 p whose sqrt(p)
+    and sqrt(1-p) lie in Q(sqrt2). Multiplying by 1 and conjugating a real
+    value build nothing, which brought the mean from 346.75 to 196.06.
+    """
+
+    PS = [Fraction(p) for p in ("0", "1", "1/2", "9/25", "16/25", "1/9",
+                                "8/9", "1/50", "49/50")]
+    BUDGET = 200
+
+    def test_exact_sweep_constructions_per_scenario(self, monkeypatch):
+        made = 0
+        make = amplitude._make
+
+        def counted(*ints):
+            nonlocal made
+            made += 1
+            return make(*ints)
+
+        monkeypatch.setattr(amplitude, "_make", counted)
+        scenarios = [ScenarioConfig(plus, minus, p)
+                     for p in self.PS for plus in (False, True)
+                     for minus in (False, True)]
+        for cfg in scenarios:
+            run_scenario(cfg)
+        assert made / len(scenarios) <= self.BUDGET

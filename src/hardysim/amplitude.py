@@ -297,7 +297,7 @@ class Backend(str):
     prints and JSON-dumps as that name. Each carries the scalars ``zero``,
     ``one``, ``i`` and ``inv_sqrt2`` and these operations:
 
-    - ``sqrt(q)``, ``from_fraction(q)``: sqrt(q) and q for a rational q >= 0;
+    - ``sqrt(q)``: sqrt(q) for a rational q >= 0;
     - ``prune(amps)``: the map without its zero values;
     - ``close(a, b)``: a == b, within FLOAT_TOL on the float backend;
     - ``ratio(num, den)``: the real number num / den, den a squared norm.
@@ -315,9 +315,6 @@ class _ExactBackend(Backend):
 
     def sqrt(self, q):
         return exact_sqrt(q)
-
-    def from_fraction(self, q):
-        return ExactScalar.from_fraction(q)
 
     def prune(self, amps):
         return {k: a for k, a in amps.items() if not a.is_zero()}
@@ -338,9 +335,6 @@ class _FloatBackend(Backend):
 
     def sqrt(self, q):
         return complex(math.sqrt(float(q)))
-
-    def from_fraction(self, q):
-        return complex(float(q))
 
     def prune(self, amps):
         """Also drops cancellation residues (see RESIDUE_REL)."""

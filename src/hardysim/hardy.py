@@ -15,7 +15,7 @@ from typing import Dict, NamedTuple, Tuple, Union
 from . import amplitude as amp
 from . import measurement, optics
 from .amplitude import EXACT
-from .errors import SimulationError, echo
+from .errors import SimulationError
 from .state import BasisKet, PathLabel, make_input, pure_to_density
 
 CONFIG_KEYS = ("OO", "IO", "OI", "II")  # (bs2_plus, bs2_minus): O=removed, I=in place
@@ -39,9 +39,7 @@ class ScenarioConfig(_ScenarioFields):
 
     def __new__(cls, bs2_plus: bool, bs2_minus: bool,
                 reaction_prob: Fraction = Fraction(1), backend: str = EXACT):
-        if not (0 <= reaction_prob <= 1):
-            raise SimulationError(
-                f"reaction probability {echo(str(reaction_prob))} outside [0, 1]")
+        measurement.check_reaction_prob(reaction_prob)
         return super().__new__(cls, bs2_plus, bs2_minus, reaction_prob,
                                amp.backend(backend))
 

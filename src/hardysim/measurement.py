@@ -21,6 +21,17 @@ from .state import ABSORBED, BasisKet, DensityMatrix, PathLabel, StateVector
 
 DOOMED = BasisKet(PathLabel.u, PathLabel.u)
 
+_QUOTE_MAX_BITS = 256  # a longer p is not quoted: str() of a huge int is slow or raises
+
+
+def check_reaction_prob(p) -> None:
+    """Raise SimulationError unless 0 <= p <= 1, quoting p only if it is short."""
+    if not 0 <= p <= 1:
+        terms = (getattr(p, "numerator", 0), getattr(p, "denominator", 1))
+        short = max(abs(t).bit_length() for t in terms) <= _QUOTE_MAX_BITS
+        text = echo(str(p)) if short else "(too long to quote)"
+        raise SimulationError(f"reaction probability {text} outside [0, 1]")
+
 
 class AnnihilationChannel:
     """Two-outcome channel: damp the doomed ket, or absorb it into the sink.
@@ -34,8 +45,7 @@ class AnnihilationChannel:
     __slots__ = ("p", "backend", "sqrt_p", "sqrt_1mp")
 
     def __init__(self, p: Fraction, backend: str = EXACT):
-        if not (0 <= p <= 1):
-            raise SimulationError(f"reaction probability {echo(str(p))} outside [0, 1]")
+        check_reaction_prob(p)
         self.p = p
         self.backend = amp.backend(backend)
         self.sqrt_p = self.backend.sqrt(p)

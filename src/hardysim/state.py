@@ -65,14 +65,7 @@ KetMap = Callable[[BasisKet], Iterable[Tuple[BasisKet, object]]]
 
 
 class StateVector:
-    """Finite map ket -> amplitude with a cached exact squared norm.
-
-    Methods that build a new state return ``type(self)``, so a subclass with
-    its own kind of ket keeps its type, and its checks, through ket maps.
-    """
-
-    # dump() order; None sorts kets that compare natively
-    ket_order = staticmethod(BasisKet.sort_key)
+    """Finite map ket -> amplitude with a cached exact squared norm."""
 
     def __init__(self, amps: Dict[BasisKet, object], backend: str = EXACT):
         self.backend = amp.backend(backend)
@@ -93,8 +86,8 @@ class StateVector:
         return set(self.amps)
 
     def scaled(self, factor) -> "StateVector":
-        return type(self)({k: a * factor for k, a in self.amps.items()},
-                          self.backend)
+        return StateVector({k: a * factor for k, a in self.amps.items()},
+                           self.backend)
 
     def inner(self, other: "StateVector"):
         """<self|other> in the shared amplitude type."""
@@ -112,7 +105,7 @@ class StateVector:
             for k2, c in ket_map(k):
                 cur = out.get(k2)
                 out[k2] = a * c if cur is None else cur + a * c
-        return type(self)(out, self.backend)
+        return StateVector(out, self.backend)
 
     def probability(self, predicate: Callable[[BasisKet], bool]):
         """Born probability of the predicate; exact Fraction where possible."""
@@ -127,14 +120,14 @@ class StateVector:
     def dump(self) -> str:
         """Canonical text form, one ket per line in basis order."""
         lines = []
-        for k in sorted(self.amps, key=self.ket_order):
+        for k in sorted(self.amps, key=BasisKet.sort_key):
             a = self.amps[k]
             text = a.to_string() if isinstance(a, ExactScalar) else repr(a)
             lines.append(f"{k} | {text}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.backend}, {{{self.dump()}}})"
+        return f"StateVector({self.backend}, {{{self.dump()}}})"
 
 
 def make_input(backend: str = EXACT) -> StateVector:

@@ -7,17 +7,16 @@ import functools
 import random
 from fractions import Fraction
 
-from hardysim.amplitude import EXACT, FLOAT, ExactScalar, I, ONE
-from hardysim.bosonic import (BosonicState, apply_bs_bosonic,
-                              hom_coincidence_probability)
+from hardysim.amplitude import EXACT, FLOAT, ExactScalar, I
+from hardysim.bosonic import hom_coincidence_probability, splitter_output
 from hardysim.hardy import ScenarioConfig, full_table, run_scenario
 from hardysim.lhv import ConstraintSet, audit, quantum_constraints
 from hardysim.measurement import (annihilation_channel, apply_channel,
                                   condition_on_no_absorption,
                                   project_knowledge)
-from hardysim.optics import MINUS, PLUS, apply_bs, apply_bs1_pair
+from hardysim.optics import MINUS, apply_bs, apply_bs1_pair
 from hardysim.state import (ABSORBED, BasisKet, DensityMatrix, PathLabel,
-                            StateVector, make_input, pure_to_density)
+                            make_input, pure_to_density)
 from test_state import random_state
 
 S, u, v, c, d = PathLabel
@@ -135,17 +134,11 @@ def test_criterion_6():
         assert not audit(ConstraintSet(reduced, cs.positive_event)).contradiction
 
 
-@criterion(7, "HOM: coincidence exactly 0; single-photon sector matches optics")
+@criterion(7, "HOM: coincidence exactly 0; |u,v> + |v,u> leaves as i(|c,c> + |d,d>)")
 def test_criterion_7():
     assert hom_coincidence_probability() == 0
-    one_photon = apply_bs_bosonic(BosonicState.single((1, 0)), 0, 1)
-    particle = apply_bs(StateVector({ket(u, S): ONE}), PLUS, (u, v), (c, d))
-    assert one_photon.amps[(1, 0)] == particle.amps[ket(c, S)]
-    assert one_photon.amps[(0, 1)] == particle.amps[ket(d, S)]
-    other = apply_bs_bosonic(BosonicState.single((0, 1)), 0, 1)
-    particle_v = apply_bs(StateVector({ket(v, S): ONE}), PLUS, (u, v), (c, d))
-    assert other.amps[(1, 0)] == particle_v.amps[ket(c, S)]
-    assert other.amps[(0, 1)] == particle_v.amps[ket(d, S)]
+    out = splitter_output([ket(u, v), ket(v, u)])
+    assert out.amps == {ket(c, c): I, ket(d, d): I}
 
 
 @criterion(8, "backend agreement on every probability to 1e-12")

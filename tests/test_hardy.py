@@ -183,8 +183,11 @@ class TestBackendAgreement:
 
 class TestConfigValidation:
     def test_p_out_of_range(self):
-        with pytest.raises(SimulationError):
-            ScenarioConfig(True, True, Fraction(2))
+        # huge terms too: str() of an int past 4300 digits raises ValueError
+        for bad in (Fraction(2), Fraction(10**5000), Fraction(-1, 10**5000)):
+            with pytest.raises(SimulationError) as info:
+                ScenarioConfig(True, True, bad)
+            assert len(str(info.value)) < 200
 
     def test_unknown_backend(self):
         with pytest.raises(SimulationError):

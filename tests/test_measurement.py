@@ -104,9 +104,12 @@ class TestChannelConstruction:
                 assert gram.get((a, b), ExactScalar()) == expected
 
     def test_p_out_of_range(self):
-        for bad in (Fraction(-1, 2), Fraction(3, 2)):
-            with pytest.raises(SimulationError):
+        # huge terms too: str() of an int past 4300 digits raises ValueError
+        for bad in (Fraction(-1, 2), Fraction(3, 2), 10**5000,
+                    Fraction(-1, 10**5000)):
+            with pytest.raises(SimulationError) as info:
                 annihilation_channel(bad)
+            assert len(str(info.value)) < 200
 
     def test_exact_backend_rejects_irrational_sqrt(self):
         with pytest.raises(UnrepresentableError):

@@ -18,8 +18,18 @@ removed one sends u -> c and v -> d. The detector amplitudes are then
         dc = i (1 - s)/4,         dd = (s - 1)/4
 
 each a phase times a real (a + b s) r, so the unconditional probability of
-a cell is w (a + b s)^2 with w = r^2. Nothing here comes from the package
-beyond the values it returns.
+a cell is w (a + b s)^2 with w = r^2.
+
+The HOM analogue sends photons into ports u and v of one such splitter,
+with t = 1/sqrt2 and r = i/sqrt2. They leave through different ports (c, d)
+when both are transmitted or both reflected. For the exchange-symmetric
+input |u,v> + |v,u> (squared norm 2) those paths add to t^2 + r^2 = 0 in
+each coincidence cell, so P = |t^2 + r^2|^2 = 0. Distinguishable particles,
+input |u,v>, do not interfere: P = |t|^4 + |r|^4 = 1/2. Bunching sends the
+symmetric input to 2tr (|c,c> + |d,d>) = i (|c,c> + |d,d>), normalized
+(i/sqrt2)(|c,c> + |d,d>).
+
+Nothing here comes from the package beyond the values it returns.
 """
 
 import math
@@ -29,7 +39,10 @@ from fractions import Fraction as F
 import pytest
 
 from hardysim.amplitude import FLOAT, ExactScalar
+from hardysim.bosonic import (distinguishable_coincidence_probability,
+                              hom_coincidence_probability, splitter_output)
 from hardysim.hardy import ScenarioConfig, full_table, run_scenario
+from hardysim.state import BasisKet, PathLabel
 
 LAYOUTS = {"OO": (False, False), "IO": (True, False), "OI": (False, True),
            "II": (True, True)}
@@ -139,3 +152,41 @@ def test_known_hardy_probabilities(p, expected):
     _, table = run_scenario(ScenarioConfig(True, True, p))
     assert table.prob("d", "d") == expected
     assert table.gamma_prob == p / 4
+
+
+SYMMETRIC = [BasisKet(PathLabel.u, PathLabel.v),
+             BasisKet(PathLabel.v, PathLabel.u)]
+
+
+def by_name(sv):
+    return {(str(k.plus), str(k.minus)): a for k, a in sv.amps.items()}
+
+
+def test_hom_exact():
+    # t^2 = 1/2, r^2 = -1/2 and |t|^2 = |r|^2 = 1/2, all rational
+    t_sq, r_sq, abs_sq = F(1, 2), F(-1, 2), F(1, 2)
+    hom = hom_coincidence_probability()
+    assert hom == (t_sq + r_sq) ** 2 and type(hom) is F
+    dist = distinguishable_coincidence_probability()
+    assert dist == abs_sq ** 2 + abs_sq ** 2 == F(1, 2) and type(dist) is F
+    out = splitter_output(SYMMETRIC)
+    # 2tr = i in both bunched cells; i/sqrt2 each after dividing by sqrt2
+    assert out.norm_sq() == 2
+    i = ExactScalar(0, 1)
+    assert by_name(out) == {("c", "c"): i, ("d", "d"): i}
+
+
+def test_hom_float():
+    t = 1 / math.sqrt(2)
+    r = 1j * t
+    hom = hom_coincidence_probability(FLOAT)
+    assert abs(hom - abs(t * t + r * r) ** 2) <= 1e-12 and type(hom) is float
+    dist = distinguishable_coincidence_probability(FLOAT)
+    assert abs(dist - (abs(t) ** 4 + abs(r) ** 4)) <= 1e-12
+    assert type(dist) is float
+    out = splitter_output(SYMMETRIC, FLOAT)
+    amps = by_name(out)
+    assert set(amps) == {("c", "c"), ("d", "d")}
+    norm = math.sqrt(out.norm_sq())
+    for a in amps.values():
+        assert abs(a / norm - 1j / math.sqrt(2)) <= 1e-12

@@ -63,23 +63,6 @@ class ExactScalar:
     q2 = property(lambda self: Fraction(self.ints[2], self.ints[4]))
     q3 = property(lambda self: Fraction(self.ints[3], self.ints[4]))
 
-    @classmethod
-    def from_fraction(cls, q) -> "ExactScalar":
-        return cls(q)
-
-    @classmethod
-    def i(cls) -> "ExactScalar":
-        return cls(q1=1)
-
-    @classmethod
-    def sqrt2(cls) -> "ExactScalar":
-        return cls(q2=1)
-
-    @classmethod
-    def inv_sqrt2(cls) -> "ExactScalar":
-        # 1/sqrt2 = sqrt2/2
-        return cls(q2=Fraction(1, 2))
-
     def __add__(self, other):
         o = other if type(other) is ExactScalar else _coerce(other)
         if o is None:
@@ -95,7 +78,7 @@ class ExactScalar:
 
     def __neg__(self) -> "ExactScalar":
         n0, n1, n2, n3, d = self.ints
-        return _make(-n0, -n1, -n2, -n3, d)
+        return _signed(-n0, -n1, -n2, -n3, d)
 
     def __sub__(self, other):
         o = _coerce(other)
@@ -118,9 +101,23 @@ class ExactScalar:
             return self
         if self.ints == _ONE_INTS:
             return o
-        # Write x = A + B*sqrt2 with A, B Gaussian; sqrt2^2 = 2.
         a0, a1, a2, a3, ad = self.ints
         b0, b1, b2, b3, bd = o.ints
+        # A right factor with one nonzero part, q, q*i, q*sqrt2 or q*i*sqrt2,
+        # costs 4 products; i^2 = -1, sqrt2^2 = 2.
+        if not (b2 or b3):
+            if not b1:
+                return _make(a0 * b0, a1 * b0, a2 * b0, a3 * b0, ad * bd)
+            if not b0:
+                return _make(-a1 * b1, a0 * b1, -a3 * b1, a2 * b1, ad * bd)
+        elif not (b0 or b1):
+            if not b3:
+                t = 2 * b2
+                return _make(a2 * t, a3 * t, a0 * b2, a1 * b2, ad * bd)
+            if not b2:
+                t = 2 * b3
+                return _make(-a3 * t, a2 * t, -a1 * b3, a0 * b3, ad * bd)
+        # Write x = A + B*sqrt2 with A, B Gaussian.
         return _make(a0 * b0 - a1 * b1 + 2 * (a2 * b2 - a3 * b3),
                      a0 * b1 + a1 * b0 + 2 * (a2 * b3 + a3 * b2),
                      a0 * b2 - a1 * b3 + a2 * b0 - a3 * b1,
@@ -145,7 +142,15 @@ class ExactScalar:
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
         # 1/(A + B*sqrt2) = (A - B*sqrt2) / (A^2 - 2 B^2), both steps Gaussian.
         n0, n1, n2, n3, d = self.ints
-        conj2 = _make(n0, n1, -n2, -n3, d)
+        if not (n1 or n3):
+            # real: d (n0 - n2 sqrt2) / (n0^2 - 2 n2^2), sign on the numerators
+            m = n0 * n0 - 2 * n2 * n2
+            if m == 0:
+                raise ZeroDivisionError("inverse of zero ExactScalar")
+            if m < 0:
+                return _make(-d * n0, 0, d * n2, 0, -m)
+            return _make(d * n0, 0, -d * n2, 0, m)
+        conj2 = _signed(n0, n1, -n2, -n3, d)
         g0, g1, _, _, gd = (self * conj2).ints
         mag = g0 * g0 + g1 * g1
         if mag == 0:
@@ -157,7 +162,7 @@ class ExactScalar:
         n0, n1, n2, n3, d = self.ints
         if not (n1 or n3):  # real; instances are immutable, so share it
             return self
-        return _make(n0, -n1, n2, -n3, d)
+        return _signed(n0, -n1, n2, -n3, d)
 
     def norm_sq(self) -> "ExactScalar":
         """self * conj(self); i-parts are always zero."""
@@ -244,6 +249,14 @@ def _make(n0, n1, n2, n3, d) -> ExactScalar:
     return x
 
 
+def _signed(n0, n1, n2, n3, d) -> ExactScalar:
+    """The scalar with these ints, a sign flip of a canonical form: flipping
+    signs keeps the form canonical, so no gcd is taken."""
+    x = _new_scalar(ExactScalar)
+    _set_ints(x, (n0, n1, n2, n3, d))
+    return x
+
+
 def _coerce(x):
     """x as an ExactScalar if it is one, an int or a Fraction; else None."""
     if isinstance(x, ExactScalar):
@@ -256,9 +269,9 @@ def _coerce(x):
 
 
 ZERO = ExactScalar()
-ONE = ExactScalar.from_fraction(1)
-I = ExactScalar.i()
-INV_SQRT2 = ExactScalar.inv_sqrt2()
+ONE = ExactScalar(1)
+I = ExactScalar(q1=1)
+INV_SQRT2 = ExactScalar(q2=Fraction(1, 2))
 
 
 def _rational_sqrt(n: int, d: int):
@@ -317,7 +330,7 @@ class _ExactBackend(Backend):
         return exact_sqrt(q)
 
     def prune(self, amps):
-        return {k: a for k, a in amps.items() if not a.is_zero()}
+        return {k: a for k, a in amps.items() if a.ints != _ZERO_INTS}
 
     def close(self, a, b):
         return a == b

@@ -76,19 +76,23 @@ CSV_FIELDS = ["config", "detector_plus", "detector_minus",
 
 
 def _write_atomic(path: str, write):
-    """Call write(fh) on a temp file beside path, then rename it over path,
-    so a failed write leaves no partial file; OSError becomes ConfigError."""
-    target = os.path.abspath(path)
-    tmp = os.path.join(os.path.dirname(target),
-                       f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    """Call write(fh) on a temp file beside path's real target, then rename
+    it over that target, so a failed write leaves no partial file and a
+    symlink stays a link. A target that exists but is not a regular file (a
+    pipe or a device) is written in place. OSError becomes ConfigError."""
+    target = os.path.realpath(path)
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    tmp = target if in_place else os.path.join(
+        os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             write(fh)
-        os.replace(tmp, target)
+        if not in_place:
+            os.replace(tmp, target)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     finally:
-        if os.path.exists(tmp):
+        if not in_place and os.path.exists(tmp):
             os.unlink(tmp)
 
 

@@ -139,13 +139,16 @@ def make_input(backend: str = EXACT) -> StateVector:
 
 def equal_up_to_global_phase(a: StateVector, b: StateVector,
                              strict: bool = False) -> bool:
-    """|<a|b>|^2 == |a|^2 |b|^2, i.e. same ray. strict=True compares amplitudes."""
+    """|<a|b>|^2 / (|a|^2 |b|^2) == 1, i.e. same ray; a ratio, so that states
+    of small norm are told apart too. strict=True compares amplitudes."""
     if a.is_zero() or b.is_zero():
         raise EmptyStateError("empty state")
     if strict:
         return a.amps == b.amps
+    backend = a.backend
     overlap = a.inner(b)
-    return a.backend.close(overlap * overlap.conjugate(), a._norm_sq * b._norm_sq)
+    return backend.close(backend.ratio(overlap * overlap.conjugate(),
+                                       a._norm_sq * b._norm_sq), 1)
 
 
 class DensityMatrix:

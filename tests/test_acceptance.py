@@ -43,7 +43,7 @@ def criterion(number, description):
 @criterion(1, "input through both first beam splitters, exact amplitudes")
 def test_criterion_1():
     out = apply_bs1_pair(make_input())
-    half = ExactScalar.from_fraction(Fraction(1, 2))
+    half = ExactScalar(Fraction(1, 2))
     assert out.amps == {
         ket(v, v): half,
         ket(v, u): I * half,
@@ -170,7 +170,7 @@ def test_criterion_9():
     def rand_scalar():
         return ExactScalar(*[Fraction(rng.randint(-6, 6), rng.randint(1, 6))
                              for _ in range(4)])
-    one = ExactScalar.from_fraction(1)
+    one = ExactScalar(1)
     for _ in range(1000):
         x, y, z = rand_scalar(), rand_scalar(), rand_scalar()
         assert (x + y) + z == x + (y + z)

@@ -26,7 +26,7 @@ scalars = st.builds(ExactScalar, small_fracs, small_fracs, small_fracs,
 
 class TestArithmetic:
     def test_inv_sqrt2_squared(self):
-        assert INV_SQRT2 * INV_SQRT2 == ExactScalar.from_fraction(frac(1, 2))
+        assert INV_SQRT2 * INV_SQRT2 == ExactScalar(frac(1, 2))
 
     def test_i_squared(self):
         assert I * I == -ONE
@@ -36,7 +36,7 @@ class TestArithmetic:
         assert x * x == I
 
     def test_sqrt2_times_sqrt2(self):
-        assert ExactScalar.sqrt2() * ExactScalar.sqrt2() == ExactScalar.from_fraction(2)
+        assert ExactScalar(q2=1) * ExactScalar(q2=1) == ExactScalar(2)
 
     def test_division(self):
         x = ExactScalar(frac(1, 3), frac(2), frac(-1, 2), frac(5))
@@ -50,11 +50,11 @@ class TestArithmetic:
 
 class TestNormSq:
     def test_i_over_two(self):
-        x = I * ExactScalar.from_fraction(frac(1, 2))
-        assert x.norm_sq() == ExactScalar.from_fraction(frac(1, 4))
+        x = I * ExactScalar(frac(1, 2))
+        assert x.norm_sq() == ExactScalar(frac(1, 4))
 
     def test_inv_sqrt2(self):
-        assert INV_SQRT2.norm_sq() == ExactScalar.from_fraction(frac(1, 2))
+        assert INV_SQRT2.norm_sq() == ExactScalar(frac(1, 2))
 
     def test_one_plus_i_over_sqrt2(self):
         x = (ONE + I) * INV_SQRT2
@@ -68,10 +68,10 @@ class TestNormSq:
 
 class TestFloatMirror:
     def test_half(self):
-        assert ExactScalar.from_fraction(frac(1, 2)).to_complex() == 0.5 + 0j
+        assert ExactScalar(frac(1, 2)).to_complex() == 0.5 + 0j
 
     def test_i_sqrt2(self):
-        z = (I * ExactScalar.sqrt2()).to_complex()
+        z = (I * ExactScalar(q2=1)).to_complex()
         assert z.real == 0.0
         assert abs(z.imag - math.sqrt(2)) < 1e-15
 
@@ -93,12 +93,12 @@ class TestFloatMirror:
 
 class TestExactSqrt:
     def test_square_rationals(self):
-        assert exact_sqrt(frac(1, 4)) == ExactScalar.from_fraction(frac(1, 2))
-        assert exact_sqrt(frac(9)) == ExactScalar.from_fraction(3)
+        assert exact_sqrt(frac(1, 4)) == ExactScalar(frac(1, 2))
+        assert exact_sqrt(frac(9)) == ExactScalar(3)
 
     def test_twice_square(self):
         assert exact_sqrt(frac(1, 2)) == INV_SQRT2
-        assert exact_sqrt(frac(2)) == ExactScalar.sqrt2()
+        assert exact_sqrt(frac(2)) == ExactScalar(q2=1)
 
     def test_unrepresentable(self):
         with pytest.raises(UnrepresentableError):
@@ -117,7 +117,7 @@ class TestSerialization:
     @pytest.mark.parametrize("value, text", [
         (ZERO, "0"),
         (ONE, "1"),
-        (ExactScalar.from_fraction(frac(-1, 2)), "-1/2"),
+        (ExactScalar(frac(-1, 2)), "-1/2"),
         (I, "1*i"),
         (INV_SQRT2, "1/2*r2"),
         (ExactScalar(frac(1, 2), frac(-3), frac(0), frac(2, 7)),
@@ -289,6 +289,34 @@ class TestShortCuts:
         rx = RefScalar(Fraction(2, 3), Fraction(-5), Fraction(1, 4), Fraction(3))
         assert_matches(x * ExactScalar(*qs), rx * RefScalar(*qs))
         assert_matches(ExactScalar(*qs) * x, RefScalar(*qs) * rx)
+
+
+class TestOnePartFactors:
+    """A right factor with one nonzero part (q, q*i, q*sqrt2, q*i*sqrt2),
+    sign flips and the inverse of a real value each take a short formula;
+    every result must be the reference value in canonical form."""
+
+    # small numerators, zero and negatives included, over varied denominators
+    small_q = st.builds(Fraction, st.integers(-9, 9),
+                        st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 25, 50]))
+    parts = st.lists(small_q, min_size=4, max_size=4)
+    one_part = st.tuples(st.integers(0, 3), small_q).map(lambda t: _place([t]))
+    real_parts = parts.map(lambda q: [q[0], 0, q[2], 0])
+
+    @settings(max_examples=500, deadline=None)
+    @given(parts, st.one_of(one_part, st.just([0, 0, 0, 0]), parts))
+    def test_product(self, xs, ys):
+        assert_matches(ExactScalar(*xs) * ExactScalar(*ys),
+                       RefScalar(*xs) * RefScalar(*ys))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(parts, real_parts, one_part))
+    def test_sign_flips_and_inverse(self, xs):
+        x, rx = ExactScalar(*xs), RefScalar(*xs)
+        assert_matches(x.conjugate(), rx.conjugate())
+        assert_matches(-x, RefScalar(0, 0, 0, 0) - rx)
+        if any(rx.q):
+            assert_matches(x.inverse(), rx.inverse())
 
 
 class TestRepresentation:

@@ -5,16 +5,18 @@ import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hardysim
-from hardysim.cli import P_EXPONENT_MAX, P_TEXT_MAX_CHARS, main
+from hardysim.cli import CSV_FIELDS, P_EXPONENT_MAX, P_TEXT_MAX_CHARS, main
 
 
 def write_config(tmp_path, **fields):
@@ -187,8 +189,7 @@ class TestExports:
                   for r in rows if r["conditional"] == "false"}
         assert uncond[("d", "d")] == ExactScalar(
             Fraction(3, 32), Fraction(0), Fraction(-1, 16), Fraction(0))
-        assert uncond[("gamma", "gamma")] == ExactScalar.from_fraction(
-            Fraction(1, 8))
+        assert uncond[("gamma", "gamma")] == ExactScalar(Fraction(1, 8))
 
     def test_json_round_trip(self, tmp_path, capsys):
         cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True, p="1")
@@ -228,6 +229,44 @@ class TestExports:
         assert capsys.readouterr().err.startswith("error: cannot write ")
         assert target.read_text() == "previous export\n"
         assert [p.name for p in out_dir.iterdir()] == ["table.json"]
+
+    @pytest.mark.parametrize("flag, first_line", [
+        ("--csv", ",".join(CSV_FIELDS)), ("--json", "{")])
+    def test_export_through_a_symlink_writes_its_target(self, tmp_path, capsys,
+                                                        flag, first_line):
+        cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True, p="0")
+        real = tmp_path / "real.out"
+        real.write_text("previous export\n")
+        link = tmp_path / "link.out"
+        link.symlink_to(real)
+        assert main(["run", "--config", cfg, flag, str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text().splitlines()[0] == first_line
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "link.out", "real.out"]
+
+    @pytest.mark.parametrize("flag, first_line", [
+        ("--csv", ",".join(CSV_FIELDS)), ("--json", "{")])
+    def test_export_to_a_pipe_writes_into_it(self, tmp_path, capsys, flag,
+                                             first_line):
+        cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True, p="0")
+        fifo = tmp_path / "pipe.out"
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo, newline="") as fh:
+                received.append(fh.read())
+
+        # daemon: a reader still blocked on open after a failure cannot hang
+        # the test session
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        assert main(["run", "--config", cfg, flag, str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received[0].splitlines()[0] == first_line
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
 class TestTable:

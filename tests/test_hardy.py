@@ -231,7 +231,9 @@ class TestWorkBudget:
 
     The sweep is the benchmark's exact one: 4 layouts x 9 p whose sqrt(p)
     and sqrt(1-p) lie in Q(sqrt2). Multiplying by 1 and conjugating a real
-    value build nothing, which brought the mean from 346.75 to 196.06.
+    value build nothing, which brought the mean from 346.75 to 196.06. Every
+    scalar, reduced by a gcd or a sign flip that needs none, is allocated
+    through ``amplitude._new_scalar``, so that is where they are counted.
     """
 
     PS = [Fraction(p) for p in ("0", "1", "1/2", "9/25", "16/25", "1/9",
@@ -240,14 +242,14 @@ class TestWorkBudget:
 
     def test_exact_sweep_constructions_per_scenario(self, monkeypatch):
         made = 0
-        make = amplitude._make
+        new_scalar = amplitude._new_scalar
 
-        def counted(*ints):
+        def counted(cls):
             nonlocal made
             made += 1
-            return make(*ints)
+            return new_scalar(cls)
 
-        monkeypatch.setattr(amplitude, "_make", counted)
+        monkeypatch.setattr(amplitude, "_new_scalar", counted)
         scenarios = [ScenarioConfig(plus, minus, p)
                      for p in self.PS for plus in (False, True)
                      for minus in (False, True)]

@@ -63,7 +63,7 @@ class TestProjectKnowledge:
         sv = eq3_state()
         kept, survival = project_knowledge(sv, annihilation_channel(Fraction(9, 25)))
         assert survival == Fraction(91, 100)
-        four_fifths = ExactScalar.from_fraction(Fraction(4, 5))
+        four_fifths = ExactScalar(Fraction(4, 5))
         assert kept.amps[DOOMED] == sv.amps[DOOMED] * four_fifths
         for k in (ket(v, v), ket(v, u), ket(u, v)):
             assert kept.amps[k] == sv.amps[k]
@@ -135,8 +135,7 @@ class TestApplyChannel:
         projected, survival = project_knowledge(eq3_state(), certain())
         assert surviving == survival == Fraction(3, 4)
         assert conditioned.equals(pure_to_density(projected))
-        assert out.entry(ABSORBED, ABSORBED) == ExactScalar.from_fraction(
-            Fraction(1, 4))
+        assert out.entry(ABSORBED, ABSORBED) == ExactScalar(Fraction(1, 4))
 
     @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 2), Fraction(1)])
     def test_trace_preserved_exactly(self, p):

@@ -184,7 +184,7 @@ class TestMemoizedKetMaps:
 class TestApplyBs1Pair:
     def test_eq3_amplitudes(self):
         out = apply_bs1_pair(make_input())
-        half = ExactScalar.from_fraction(Fraction(1, 2))
+        half = ExactScalar(Fraction(1, 2))
         assert out.amps == {
             ket(v, v): half,
             ket(v, u): I * half,

@@ -23,7 +23,7 @@ def ket(plus, minus):
 
 
 def eq3_state():
-    half = ExactScalar.from_fraction(Fraction(1, 2))
+    half = ExactScalar(Fraction(1, 2))
     return StateVector({
         ket(v, v): half,
         ket(v, u): I * half,
@@ -132,18 +132,26 @@ class TestProbability:
             assert total == sv._norm_sq
 
 
+def small_float_state(k):
+    """One float ket with amplitude 1e-7: squared norm 1e-14, far below
+    FLOAT_TOL, so only a relative comparison tells such states apart."""
+    return StateVector({k: complex(1e-7)}, amp.FLOAT)
+
+
 class TestGlobalPhase:
     def test_phase_invariant(self):
-        sv = eq3_state()
-        assert equal_up_to_global_phase(sv, sv.scaled(I))
+        for sv in (eq3_state(), small_float_state(ket(u, u))):
+            assert equal_up_to_global_phase(sv, sv.scaled(sv.backend.i))
 
     def test_different_support(self):
         assert not equal_up_to_global_phase(eq6_state(), eq3_state())
+        assert not equal_up_to_global_phase(small_float_state(ket(u, u)),
+                                            small_float_state(ket(v, v)))
 
     def test_tiny_orthogonal_term_breaks_equality(self):
         sv = eq6_state()
         perturbed = StateVector(dict(sv.amps) | {
-            ket(u, u): ExactScalar.from_fraction(Fraction(1, 1000))})
+            ket(u, u): ExactScalar(Fraction(1, 1000))})
         assert not equal_up_to_global_phase(sv, perturbed)
 
     def test_zero_norm_raises(self):
@@ -163,7 +171,7 @@ class TestDensity:
 
     def test_eq6_diagonal_thirds(self):
         rho = pure_to_density(eq6_state())
-        third = ExactScalar.from_fraction(Fraction(1, 3))
+        third = ExactScalar(Fraction(1, 3))
         for k in eq6_state().support():
             assert rho.entry(k, k) == third
         assert len(rho.kets()) == 3
@@ -174,7 +182,7 @@ class TestDensity:
         assert rho.purity() == 1
 
     def test_maximally_mixed_two_kets(self):
-        half = ExactScalar.from_fraction(Fraction(1, 2))
+        half = ExactScalar(Fraction(1, 2))
         rho = DensityMatrix({(ket(u, u), ket(u, u)): half,
                              (ket(v, v), ket(v, v)): half})
         assert rho.trace() == 1

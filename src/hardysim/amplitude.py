@@ -16,7 +16,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import EmptyStateError, SimulationError, UnrepresentableError
+from .errors import (EmptyStateError, SimulationError, UnrepresentableError,
+                     echo_number)
 
 FLOAT_TOL = 1e-12
 # A float value at most this times the largest magnitude in its map is a
@@ -294,7 +295,7 @@ def exact_sqrt(q: Fraction) -> ExactScalar:
         r = _rational_sqrt(n // 2, d) if n % 2 == 0 else _rational_sqrt(n, 2 * d)
         if r is not None:
             return _make(0, 0, r[0], 0, r[1])
-    raise UnrepresentableError(f"sqrt({q}) is not in Q(i, sqrt2)")
+    raise UnrepresentableError(f"sqrt({echo_number(q)}) is not in Q(i, sqrt2)")
 
 
 # ---------------------------------------------------------------------------

@@ -12,25 +12,21 @@ non-annihilating kets, and at p = 0 it is the identity.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Tuple
 
 from . import amplitude as amp
 from .amplitude import EXACT
-from .errors import AnnihilatedError, EmptyStateError, SimulationError, echo
+from .errors import (AnnihilatedError, EmptyStateError, SimulationError,
+                     echo_number)
 from .state import ABSORBED, BasisKet, DensityMatrix, PathLabel, StateVector
 
 DOOMED = BasisKet(PathLabel.u, PathLabel.u)
-
-_QUOTE_MAX_BITS = 256  # a longer p is not quoted: str() of a huge int is slow or raises
 
 
 def check_reaction_prob(p) -> None:
     """Raise SimulationError unless 0 <= p <= 1, quoting p only if it is short."""
     if not 0 <= p <= 1:
-        terms = (getattr(p, "numerator", 0), getattr(p, "denominator", 1))
-        short = max(abs(t).bit_length() for t in terms) <= _QUOTE_MAX_BITS
-        text = echo(str(p)) if short else "(too long to quote)"
-        raise SimulationError(f"reaction probability {text} outside [0, 1]")
+        raise SimulationError(f"reaction probability {echo_number(p)} outside [0, 1]")
 
 
 class AnnihilationChannel:
@@ -98,30 +94,6 @@ def annihilation_channel(p: Fraction, backend: str = EXACT) -> AnnihilationChann
     return AnnihilationChannel(Fraction(p), backend)
 
 
-def kraus_gram(ket_maps, kets):
-    """sum_i K_i^dagger K_i restricted to the given kets, as a dense dict.
-
-    Used to verify Kraus completeness: the result must be the identity.
-    """
-    kets = list(kets)
-    gram: Dict[Tuple[BasisKet, BasisKet], object] = {}
-    for ket_map in ket_maps:
-        images = {k: list(ket_map(k)) for k in kets}
-        for a in kets:
-            for b in kets:
-                total = None
-                for (xa, ca) in images[a]:
-                    for (xb, cb) in images[b]:
-                        if xa == xb:
-                            term = ca.conjugate() * cb
-                            total = term if total is None else total + term
-                if total is not None:
-                    key = (a, b)
-                    cur = gram.get(key)
-                    gram[key] = total if cur is None else cur + total
-    return gram
-
-
 def apply_channel(rho: DensityMatrix, ch: AnnihilationChannel) -> DensityMatrix:
     """rho -> K_pass rho K_pass^dagger + K_abs rho K_abs^dagger."""
     rho._check_hermitian()
@@ -132,19 +104,3 @@ def apply_channel(rho: DensityMatrix, ch: AnnihilationChannel) -> DensityMatrix:
         cur = entries.get(key)
         entries[key] = val if cur is None else cur + val
     return DensityMatrix(entries, rho.backend, check=False)
-
-
-def condition_on_no_absorption(rho: DensityMatrix):
-    """Post-select on 'no photon seen': drop the sink row/column, renormalize.
-
-    Returns (conditioned density matrix, surviving probability).
-    """
-    rho._check_hermitian()
-    entries = {key: val for key, val in rho.entries.items()
-               if ABSORBED not in key}
-    surviving = DensityMatrix(entries, rho.backend, check=False).trace()
-    if surviving == 0:
-        raise AnnihilatedError("state fully absorbed; nothing to condition on")
-    inv = rho.backend.one / surviving
-    scaled = {key: val * inv for key, val in entries.items()}
-    return DensityMatrix(scaled, rho.backend, check=False), surviving

@@ -85,10 +85,6 @@ class StateVector:
     def support(self):
         return set(self.amps)
 
-    def scaled(self, factor) -> "StateVector":
-        return StateVector({k: a * factor for k, a in self.amps.items()},
-                           self.backend)
-
     def inner(self, other: "StateVector"):
         """<self|other> in the shared amplitude type."""
         total = self.backend.zero
@@ -169,23 +165,6 @@ class DensityMatrix:
             if not self.backend.close(val, mirror.conjugate()):
                 raise NonHermitianError(f"entry ({a}, {b}) breaks Hermiticity")
 
-    def entry(self, a: BasisKet, b: BasisKet):
-        return self.entries.get((a, b), self.backend.zero)
-
-    def kets(self):
-        seen = set()
-        for a, b in self.entries:
-            seen.add(a)
-            seen.add(b)
-        return seen
-
-    def trace(self):
-        total = self.backend.zero
-        for (a, b), val in self.entries.items():
-            if a == b:
-                total = total + val
-        return amp.real_part(total)
-
     def purity(self):
         """trace(rho^2), computed as sum_ab rho(a,b) rho(b,a)."""
         total = self.backend.zero
@@ -217,14 +196,8 @@ class DensityMatrix:
                     out[key] = term if cur is None else cur + term
         return DensityMatrix(out, self.backend, check=False)
 
-    def equals(self, other: "DensityMatrix") -> bool:
-        keys = set(self.entries) | set(other.entries)
-        return all(self.backend.close(self.entry(*key), other.entry(*key))
-                   for key in keys)
-
     def __repr__(self) -> str:
-        n = len(self.kets())
-        return f"DensityMatrix({self.backend}, support={n} kets, trace={self.trace()})"
+        return f"DensityMatrix({self.backend}, {len(self.entries)} entries)"
 
 
 def pure_to_density(sv: StateVector) -> DensityMatrix:

@@ -12,12 +12,11 @@ from hardysim.bosonic import hom_coincidence_probability, splitter_output
 from hardysim.hardy import ScenarioConfig, full_table, run_scenario
 from hardysim.lhv import ConstraintSet, audit, quantum_constraints
 from hardysim.measurement import (annihilation_channel, apply_channel,
-                                  condition_on_no_absorption,
                                   project_knowledge)
 from hardysim.optics import MINUS, apply_bs, apply_bs1_pair
-from hardysim.state import (ABSORBED, BasisKet, DensityMatrix, PathLabel,
+from hardysim.state import (BasisKet, DensityMatrix, PathLabel,
                             make_input, pure_to_density)
-from test_state import random_state
+from test_state import density_times, no_photon_entries, random_state
 
 S, u, v, c, d = PathLabel
 
@@ -101,25 +100,24 @@ def test_criterion_5():
     rho = pure_to_density(sv)
     # p=1: density path equals pure path, exact density equality
     out = apply_channel(rho, annihilation_channel(Fraction(1)))
-    conditioned, surviving = condition_on_no_absorption(out)
     projected, survival = project_knowledge(sv, annihilation_channel(Fraction(1)))
-    assert surviving == survival
-    assert conditioned.equals(pure_to_density(projected))
+    assert out.diagonal_probability(lambda k: not k.is_absorbed) == survival
+    assert no_photon_entries(out) == density_times(projected, survival)
     # p=0 with both BS2 in: certain double detection at c
     _, baseline = run_scenario(ScenarioConfig(True, True, Fraction(0)))
     assert baseline.prob("c", "c") == 1
     # trace preservation
     for p in (Fraction(0), Fraction(1, 2), Fraction(1)):
-        assert apply_channel(rho, annihilation_channel(p)).trace() == 1
+        out_p = apply_channel(rho, annihilation_channel(p))
+        assert out_p.diagonal_probability(lambda k: True) == 1
     sv_f = apply_bs1_pair(make_input(FLOAT))
     out_f = apply_channel(pure_to_density(sv_f),
                           annihilation_channel(Fraction(1, 4), FLOAT))
-    assert abs(out_f.trace() - 1.0) <= 1e-12
+    assert abs(out_f.diagonal_probability(lambda k: True) - 1.0) <= 1e-12
     # p=1/2 mixes: full state and particle block both lose purity
     out_half = apply_channel(rho, annihilation_channel(Fraction(1, 2)))
     assert out_half.purity() < 1
-    block = DensityMatrix({k: val for k, val in out_half.entries.items()
-                           if ABSORBED not in k}, check=False)
+    block = DensityMatrix(no_photon_entries(out_half), check=False)
     assert block.purity() < 1
 
 

@@ -148,7 +148,9 @@ class TestErrorEcho:
         (LAYOUT + ', "p": 1' + "0" * 3999 + "}", 3),
         (LAYOUT + ', "p": [' + ", ".join(["1"] * 100_000) + "]}", 2),
         (LAYOUT + ', "backend": "' + "y" * 100_000 + '"}', 2),
-    ], ids=["1MB-bs2_plus", "4000-digit-p", "100000-element-p", "long-backend"])
+        (LAYOUT + ', "p": "1e-400"}', 3),
+    ], ids=["1MB-bs2_plus", "4000-digit-p", "100000-element-p", "long-backend",
+            "irrational-sqrt-of-1e-400"])
     def test_huge_value_gives_a_short_error(self, tmp_path, capsys, text, code):
         path = tmp_path / "config.json"
         path.write_text(text)

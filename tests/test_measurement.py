@@ -8,13 +8,12 @@ from hardysim.amplitude import EXACT, FLOAT, ExactScalar, I, ONE
 from hardysim.errors import (AnnihilatedError, SimulationError,
                              UnrepresentableError)
 from hardysim.measurement import (DOOMED, annihilation_channel, apply_channel,
-                                  condition_on_no_absorption,
-                                  kraus_gram, project_knowledge)
+                                  project_knowledge)
 from hardysim.optics import apply_bs1_pair
-from hardysim.state import (ABSORBED, BasisKet, PathLabel, StateVector,
-                            equal_up_to_global_phase, make_input,
+from hardysim.state import (ABSORBED, BasisKet, DensityMatrix, PathLabel,
+                            StateVector, equal_up_to_global_phase, make_input,
                             pure_to_density)
-from test_state import eq3_state, eq6_state
+from test_state import density_times, eq3_state, eq6_state, no_photon_entries
 
 S, u, v, c, d = PathLabel
 
@@ -96,12 +95,19 @@ class TestChannelConstruction:
 
     @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 2), Fraction(1)])
     def test_kraus_completeness(self, p):
+        # each element sends the doomed ket to one ket and is the identity
+        # or zero elsewhere, so K_pass^dag K_pass + K_abs^dag K_abs = 1
+        # comes down to |sqrt(1-p)|^2 + |sqrt(p)|^2 = 1
         ch = annihilation_channel(p)
-        gram = kraus_gram([ch.pass_map(), ch.absorb_map()], PARTICLE_KETS)
-        for a in PARTICLE_KETS:
-            for b in PARTICLE_KETS:
-                expected = ONE if a == b else ExactScalar()
-                assert gram.get((a, b), ExactScalar()) == expected
+        keep, absorb = ch.sqrt_1mp, ch.sqrt_p
+        assert keep * keep.conjugate() + absorb * absorb.conjugate() == ONE
+        pass_map, absorb_map = ch.pass_map(), ch.absorb_map()
+        assert pass_map(DOOMED) == [(DOOMED, keep)]
+        assert absorb_map(DOOMED) == [(ABSORBED, absorb)]
+        for k in PARTICLE_KETS:
+            if k != DOOMED:
+                assert pass_map(k) == [(k, ONE)]
+                assert absorb_map(k) == []
 
     def test_p_out_of_range(self):
         # huge terms too: str() of an int past 4300 digits raises ValueError
@@ -116,6 +122,10 @@ class TestChannelConstruction:
             annihilation_channel(Fraction(1, 3))
         with pytest.raises(UnrepresentableError):
             annihilation_channel(Fraction(1, 4))  # sqrt(3/4) not in the field
+        # sqrt(1 - 10^-5000) is irrational too; its radicand is not quoted
+        with pytest.raises(UnrepresentableError) as info:
+            annihilation_channel(Fraction(1, 10**5000))
+        assert len(str(info.value)) < 200
 
     def test_float_backend_takes_any_p(self):
         ch = annihilation_channel(Fraction(1, 3), FLOAT)
@@ -126,40 +136,38 @@ class TestApplyChannel:
     def test_p_zero_leaves_rho_unchanged(self):
         rho = pure_to_density(eq3_state())
         out = apply_channel(rho, annihilation_channel(Fraction(0)))
-        assert out.equals(rho)
+        assert out.entries == rho.entries
 
     def test_p_one_factorizes_through_projection(self):
+        # the channel's no-photon block is the projected state's density
+        # matrix weighted by its survival probability
         rho = pure_to_density(eq3_state())
         out = apply_channel(rho, annihilation_channel(Fraction(1)))
-        conditioned, surviving = condition_on_no_absorption(out)
         projected, survival = project_knowledge(eq3_state(), certain())
-        assert surviving == survival == Fraction(3, 4)
-        assert conditioned.equals(pure_to_density(projected))
-        assert out.entry(ABSORBED, ABSORBED) == ExactScalar(Fraction(1, 4))
+        assert survival == Fraction(3, 4)
+        assert no_photon_entries(out) == density_times(projected, survival)
+        assert out.entries[(ABSORBED, ABSORBED)] == ExactScalar(Fraction(1, 4))
 
     @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 2), Fraction(1)])
     def test_trace_preserved_exactly(self, p):
         rho = pure_to_density(eq3_state())
         out = apply_channel(rho, annihilation_channel(p))
-        assert out.trace() == 1
+        assert out.diagonal_probability(lambda k: True) == 1
 
     def test_trace_preserved_float_quarter(self):
         sv = apply_bs1_pair(make_input(FLOAT))
         out = apply_channel(pure_to_density(sv),
                             annihilation_channel(Fraction(1, 4), FLOAT))
-        assert abs(out.trace() - 1.0) <= 1e-12
+        assert abs(out.diagonal_probability(lambda k: True) - 1.0) <= 1e-12
 
     def test_half_p_mixes(self):
         rho = pure_to_density(eq3_state())
         out = apply_channel(rho, annihilation_channel(Fraction(1, 2)))
-        assert out.trace() == 1
+        assert out.diagonal_probability(lambda k: True) == 1
         assert out.purity() < 1
         # particle sub-block of the unit-trace output: purity < 1 as well
-        block = {k: val for k, val in out.entries.items()
-                 if ABSORBED not in k}
-        from hardysim.state import DensityMatrix
-        particle = DensityMatrix(block, check=False)
-        assert particle.trace() == Fraction(7, 8)
+        particle = DensityMatrix(no_photon_entries(out), check=False)
+        assert particle.diagonal_probability(lambda k: True) == Fraction(7, 8)
         assert particle.purity() == Fraction(49, 64)
 
     def test_survival_is_one_minus_p_over_four(self):
@@ -168,28 +176,28 @@ class TestApplyChannel:
         for p in (Fraction(0), Fraction(9, 25), Fraction(1, 2), Fraction(1)):
             rho = pure_to_density(eq3_state())
             out = apply_channel(rho, annihilation_channel(p))
-            gamma = out.entry(ABSORBED, ABSORBED)
-            gamma_val = gamma.as_fraction() if isinstance(gamma, ExactScalar) \
-                else gamma
-            assert gamma_val == p / 4
+            assert out.diagonal_probability(lambda k: k.is_absorbed) == p / 4
 
 
 class TestConditioning:
+    """Post-selecting on no photon, through the channel's output."""
+
     def test_no_gamma_component(self):
-        rho = pure_to_density(eq3_state())
-        out, surviving = condition_on_no_absorption(rho)
-        assert surviving == 1
-        assert out.equals(rho)
+        # no doomed ket, so no photon: the channel leaves rho as it is
+        rho = pure_to_density(eq6_state())
+        out = apply_channel(rho, certain())
+        assert out.entries == no_photon_entries(out) == rho.entries
 
     def test_pure_gamma_raises(self):
-        rho = pure_to_density(StateVector({ABSORBED: ONE}))
+        # only the doomed ket: the photon is certain and nothing survives
+        sv = StateVector({DOOMED: ONE})
+        out = apply_channel(pure_to_density(sv), certain())
+        assert out.entries == {(ABSORBED, ABSORBED): ONE}
         with pytest.raises(AnnihilatedError):
-            condition_on_no_absorption(rho)
+            project_knowledge(sv, certain())
 
     def test_matches_eq6_density(self):
-        out = apply_channel(pure_to_density(eq3_state()),
-                            annihilation_channel(Fraction(1)))
-        conditioned, surviving = condition_on_no_absorption(out)
-        assert surviving == Fraction(3, 4)
-        assert conditioned.equals(pure_to_density(eq6_state()))
+        out = apply_channel(pure_to_density(eq3_state()), certain())
+        assert no_photon_entries(out) == density_times(eq6_state(),
+                                                       Fraction(3, 4))
 

@@ -191,20 +191,22 @@ def cmd_table(args) -> int:
         title = (f"config {key} (BS2+ {layout[key[0]]}, BS2- {layout[key[1]]}), "
                  f"p=1, conditional")
         print("\n".join(_table_lines(table, title)))
-    _, table_ii = hardy.run_scenario(hardy.ScenarioConfig(True, True))
+    from . import lhv
+    cs = lhv.quantum_constraints(tables)
     print("Hardy chain:")
-    print(f"P(c+,c-|out,out) = {tables['OO'].prob('c', 'c')}")
-    print(f"P(d+,d-|in,out) = {tables['IO'].prob('d', 'd')}")
-    print(f"P(d+,d-|out,in) = {tables['OI'].prob('d', 'd')}")
-    print(f"P(d+,d-|in,in) = {tables['II'].prob('d', 'd')} (cond), "
-          f"{table_ii.prob('d', 'd')} (uncond)")
-    print(f"gamma probability = {table_ii.gamma_prob}")
+    for (sp, sm), (dp, dm) in cs.zero_events:
+        print(f"P({dp}+,{dm}-|{sp},{sm}) = 0")
+    (sp, sm), (dp, dm), prob = cs.positive_event
+    _, table = hardy.run_scenario(hardy.ScenarioConfig(sp == lhv.IN, sm == lhv.IN))
+    print(f"P({dp}+,{dm}-|{sp},{sm}) = {prob} (cond), "
+          f"{table.prob(dp, dm)} (uncond)")
+    print(f"gamma probability = {table.gamma_prob}")
     return EXIT_OK
 
 
 def cmd_lhv_audit(args) -> int:
     from . import lhv
-    print(lhv.audit_report())
+    print(lhv.audit_report(lhv.quantum_constraints(hardy.full_table())))
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import hardy
+from .errors import SimulationError
 
 IN, OUT = "in", "out"
 
@@ -53,47 +54,42 @@ class ConstraintSet(NamedTuple):
     """Quantum facts an LHV model must reproduce.
 
     zero_events: (setting, outcome) pairs with probability exactly 0.
-    positive_event: a (setting, outcome) pair with probability > 0.
+    positive_event: a nonzero (setting, outcome, probability) cell, or None.
     """
 
     zero_events: List[Tuple[Setting, Outcome]]
     positive_event: Optional[Tuple[Setting, Outcome, Fraction]]
 
 
-def quantum_constraints() -> ConstraintSet:
-    """Read the Hardy chain off the conditional coincidence tables."""
-    tables = hardy.full_table()
-    zero_events = [((OUT, OUT), ("c", "c")),
-                   ((IN, OUT), ("d", "d")),
-                   ((OUT, IN), ("d", "d"))]
-    for setting, outcome in zero_events:
-        prob = tables[_KEY[setting]].prob(*outcome)
-        if prob != 0:
-            raise AssertionError(f"expected zero probability at {setting} {outcome}")
-    target = ((IN, IN), ("d", "d"))
-    prob = tables["II"].prob(*target[1])
-    if prob <= 0:
-        raise AssertionError("expected positive probability at (in,in) (d,d)")
-    return ConstraintSet(zero_events, (target[0], target[1], prob))
+def quantum_constraints(tables: Dict[str, hardy.OutcomeTable]) -> ConstraintSet:
+    """Read the Hardy chain off exact conditional coincidence tables.
+
+    The zero events are the cells exactly 0, in _KEY order and then sorted
+    cell order. The positive event is the first nonzero cell that no
+    strategy surviving those zero events produces, or None. Float tables
+    are refused: a zero test on rounded values can give a wrong zero set.
+    """
+    cells = [(setting, outcome, tables[key].prob(*outcome))
+             for setting, key in _KEY.items()
+             for outcome in sorted(tables[key].rows)]
+    if any(isinstance(prob, float) for _, _, prob in cells):
+        raise SimulationError("the LHV constraints need exact tables, "
+                              "not float ones")
+    zero_events = [(setting, outcome) for setting, outcome, prob in cells
+                   if prob == 0]
+    survivors = audit(ConstraintSet(zero_events, None)).surviving_strategies
+    positive = next((cell for cell in cells if cell[2] != 0
+                     and all(s.outcome(cell[0]) != cell[1] for s in survivors)),
+                    None)
+    return ConstraintSet(zero_events, positive)
 
 
-class _VerdictFields(NamedTuple):
+class Verdict(NamedTuple):
+    """Audit result; eliminations maps each killed strategy to its zero event."""
+
     contradiction: bool
     surviving_strategies: List[LocalStrategy]
     eliminations: Dict[LocalStrategy, Tuple[Setting, Outcome]]
-
-
-class Verdict(_VerdictFields):
-    """Audit result; eliminations maps each killed strategy to its zero event."""
-
-    __slots__ = ()
-
-    def __new__(cls, contradiction: bool,
-                surviving_strategies: List[LocalStrategy],
-                eliminations: Optional[Dict[LocalStrategy,
-                                            Tuple[Setting, Outcome]]] = None):
-        return super().__new__(cls, contradiction, surviving_strategies,
-                               {} if eliminations is None else eliminations)
 
 
 def audit(cs: ConstraintSet) -> Verdict:
@@ -106,26 +102,20 @@ def audit(cs: ConstraintSet) -> Verdict:
     survivors: List[LocalStrategy] = []
     eliminations: Dict[LocalStrategy, Tuple[Setting, Outcome]] = {}
     for strat in all_strategies():
-        killed = None
-        for setting, outcome in cs.zero_events:
-            if strat.outcome(setting) == outcome:
-                killed = (setting, outcome)
-                break
+        killed = next((event for event in cs.zero_events
+                       if strat.outcome(event[0]) == event[1]), None)
         if killed is None:
             survivors.append(strat)
         else:
             eliminations[strat] = killed
-    if cs.positive_event is None or cs.positive_event[2] <= 0:
-        return Verdict(False, survivors, eliminations)
-    setting, outcome, _ = cs.positive_event
-    realizable = any(s.outcome(setting) == outcome for s in survivors)
-    return Verdict(not realizable, survivors, eliminations)
+    positive = cs.positive_event
+    contradiction = positive is not None and positive[2] != 0 and not any(
+        s.outcome(positive[0]) == positive[1] for s in survivors)
+    return Verdict(contradiction, survivors, eliminations)
 
 
-def audit_report(cs: Optional[ConstraintSet] = None) -> str:
+def audit_report(cs: ConstraintSet) -> str:
     """Human-readable enumeration: each strategy's fate, then the verdict."""
-    if cs is None:
-        cs = quantum_constraints()
     verdict = audit(cs)
     lines = ["LHV audit: 16 deterministic strategies",
              "zero constraints: "

@@ -11,12 +11,13 @@ non-annihilating kets, and at p = 0 it is the identity.
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from typing import Tuple
 
 from . import amplitude as amp
 from .amplitude import EXACT
-from .errors import (AnnihilatedError, EmptyStateError, SimulationError,
+from .errors import (AnnihilatedError, EmptyStateError, SimulationError, echo,
                      echo_number)
 from .state import ABSORBED, BasisKet, DensityMatrix, PathLabel, StateVector
 
@@ -24,7 +25,11 @@ DOOMED = BasisKet(PathLabel.u, PathLabel.u)
 
 
 def check_reaction_prob(p) -> None:
-    """Raise SimulationError unless 0 <= p <= 1, quoting p only if it is short."""
+    """Raise SimulationError unless p is a real number (not a bool) with
+    0 <= p <= 1, quoting p only if it is short."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise SimulationError(f"reaction probability {echo(repr(p))} "
+                              f"is not a real number")
     if not 0 <= p <= 1:
         raise SimulationError(f"reaction probability {echo_number(p)} outside [0, 1]")
 

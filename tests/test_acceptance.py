@@ -123,7 +123,7 @@ def test_criterion_5():
 
 @criterion(6, "LHV audit: contradiction, and removing any zero flips it")
 def test_criterion_6():
-    cs = quantum_constraints()
+    cs = quantum_constraints(full_table())
     verdict = audit(cs)
     assert verdict.contradiction
     assert len(verdict.surviving_strategies) + len(verdict.eliminations) == 16

@@ -308,6 +308,19 @@ class TestReports:
         assert first == capsys.readouterr().out
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+class TestGolden:
+    @pytest.mark.parametrize("command", ["table", "lhv-audit"])
+    def test_stdout_matches_the_golden_file(self, command, capsys):
+        # golden/<command>.txt is the expected stdout, byte for byte; CI
+        # diffs `python -m hardysim.cli <command>` against the same file
+        assert main([command]) == 0
+        with open(os.path.join(GOLDEN, f"{command}.txt"), "rb") as fh:
+            assert capsys.readouterr().out.encode("utf-8") == fh.read()
+
+
 class TestUsage:
     def test_no_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

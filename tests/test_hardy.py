@@ -190,6 +190,18 @@ class TestConfigValidation:
                 ScenarioConfig(True, True, bad)
             assert len(str(info.value)) < 200
 
+    @pytest.mark.parametrize("bad", [True, False, "1/2", None, 0.5 + 0j, 1j,
+                                     "x" * 10**6, [Fraction(1)]])
+    def test_p_not_a_real_number(self, bad):
+        # a bool would run as p = 0 or 1 and be reported as True or False
+        with pytest.raises(SimulationError, match="not a real number") as info:
+            ScenarioConfig(True, True, bad)
+        assert len(str(info.value)) < 200
+
+    @pytest.mark.parametrize("p", [0, 1, Fraction(1, 2), 0.5])
+    def test_real_p_is_kept(self, p):
+        assert ScenarioConfig(True, True, p).reaction_prob == p
+
     def test_unknown_backend(self):
         with pytest.raises(SimulationError):
             ScenarioConfig(True, True, Fraction(1), "symbolic")

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from hardysim.lhv import (ConstraintSet, LocalStrategy, Verdict, all_strategies,
-                          audit, audit_report, quantum_constraints)
+from hardysim.amplitude import FLOAT
+from hardysim.errors import SimulationError
+from hardysim.hardy import full_table
+from hardysim.lhv import (ConstraintSet, LocalStrategy, all_strategies, audit,
+                          audit_report, quantum_constraints)
 
 
 class TestEnumeration:
@@ -28,80 +31,79 @@ class TestEnumeration:
 
 class TestQuantumConstraints:
     def test_zero_events(self):
-        cs = quantum_constraints()
-        assert set(cs.zero_events) == {
+        cs = quantum_constraints(full_table())
+        assert cs.zero_events == [
             (("out", "out"), ("c", "c")),
             (("in", "out"), ("d", "d")),
             (("out", "in"), ("d", "d")),
-        }
+        ]
 
     def test_positive_event(self):
-        cs = quantum_constraints()
+        cs = quantum_constraints(full_table())
         setting, outcome, prob = cs.positive_event
         assert setting == ("in", "in")
         assert outcome == ("d", "d")
-        assert prob == Fraction(1, 12)
+        assert prob == Fraction(1, 12) and type(prob) is Fraction
+
+    def test_float_tables_are_refused(self):
+        with pytest.raises(SimulationError, match="exact tables"):
+            quantum_constraints(full_table(backend=FLOAT))
 
 
 class TestAudit:
     def test_contradiction(self):
-        verdict = audit(quantum_constraints())
+        verdict = audit(quantum_constraints(full_table()))
         assert verdict.contradiction
         # every strategy with a_in = b_in = d is eliminated
         for s in verdict.surviving_strategies:
             assert not (s.a_in == "d" and s.b_in == "d")
 
     def test_no_zero_events_is_satisfiable(self):
-        cs = quantum_constraints()
+        cs = quantum_constraints(full_table())
         verdict = audit(ConstraintSet([], cs.positive_event))
         assert not verdict.contradiction
         assert len(verdict.surviving_strategies) == 16
 
     def test_no_positive_event_nothing_to_explain(self):
-        cs = quantum_constraints()
+        cs = quantum_constraints(full_table())
         setting, outcome, _ = cs.positive_event
         verdict = audit(ConstraintSet(cs.zero_events,
                                       (setting, outcome, Fraction(0))))
         assert not verdict.contradiction
 
     def test_removing_any_single_zero_flips_the_verdict(self):
-        cs = quantum_constraints()
+        cs = quantum_constraints(full_table())
         for i in range(len(cs.zero_events)):
             reduced = cs.zero_events[:i] + cs.zero_events[i + 1:]
             verdict = audit(ConstraintSet(reduced, cs.positive_event))
             assert not verdict.contradiction
 
     def test_monotone_in_zero_events(self):
-        cs = quantum_constraints()
+        cs = quantum_constraints(full_table())
         extra = cs.zero_events + [(("in", "in"), ("c", "d"))]
         assert audit(ConstraintSet(extra, cs.positive_event)).contradiction
 
     def test_scale_of_positive_probability_is_irrelevant(self):
-        cs = quantum_constraints()
+        cs = quantum_constraints(full_table())
         setting, outcome, prob = cs.positive_event
-        for factor in (Fraction(1, 100), Fraction(1, 2), Fraction(1)):
+        # an ExactScalar in Q(sqrt2) has no ordering, only == 0
+        irrational = full_table(Fraction(1, 2))["II"].prob(*outcome)
+        for value in (prob / 100, prob / 2, prob, irrational):
             verdict = audit(ConstraintSet(cs.zero_events,
-                                          (setting, outcome, prob * factor)))
+                                          (setting, outcome, value)))
             assert verdict.contradiction
 
 
 class TestReport:
     def test_report_shape(self):
-        report = audit_report()
+        report = audit_report(quantum_constraints(full_table()))
         assert "CONTRADICTION" in report
         assert "no local model exists" in report
         assert report.count("ELIMINATED") + report.count("survives") == 16
 
     def test_eliminations_name_their_killer(self):
-        verdict = audit(quantum_constraints())
+        verdict = audit(quantum_constraints(full_table()))
         assert len(verdict.eliminations) + len(verdict.surviving_strategies) == 16
         for strat, (setting, outcome) in verdict.eliminations.items():
             assert strat.outcome(setting) == outcome
 
-
-class TestVerdict:
-    def test_each_verdict_gets_its_own_eliminations(self):
-        first, second = Verdict(False, []), Verdict(False, [])
-        assert first.eliminations == {}
-        first.eliminations[LocalStrategy("c", "c", "c", "c")] = None
-        assert second.eliminations == {}

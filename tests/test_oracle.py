@@ -42,6 +42,7 @@ from hardysim.amplitude import FLOAT, ExactScalar
 from hardysim.bosonic import (distinguishable_coincidence_probability,
                               hom_coincidence_probability, splitter_output)
 from hardysim.hardy import ScenarioConfig, full_table, run_scenario
+from hardysim.lhv import audit, quantum_constraints
 from hardysim.state import BasisKet, PathLabel
 
 LAYOUTS = {"OO": (False, False), "IO": (True, False), "OI": (False, True),
@@ -152,6 +153,37 @@ def test_known_hardy_probabilities(p, expected):
     _, table = run_scenario(ScenarioConfig(True, True, p))
     assert table.prob("d", "d") == expected
     assert table.gamma_prob == p / 4
+
+
+SETTING = {"O": "out", "I": "in"}
+
+
+def oracle_zero_events(s):
+    """Cells with w (a + b s)^2 = 0, in LAYOUTS order, cells sorted."""
+    return [((SETTING[layout[0]], SETTING[layout[1]]), cell)
+            for layout in LAYOUTS for cell in sorted(ORACLE[layout])
+            if exact_cell(layout, cell, s) == (0, 0)]
+
+
+@pytest.mark.parametrize("p, n_zeros, n_survivors, contradiction", [
+    (F(1), 3, 5, True),
+    (F(1, 2), 2, 9, False),
+    (F(9, 25), 2, 9, False),
+    (F(0), 7, 4, False),
+])
+def test_contradiction_needs_p_one(p, n_zeros, n_survivors, contradiction):
+    # only the exact knowledge projection (p = 1) zeroes OO (c,c) while
+    # keeping II (d,d) positive; at p < 1 the zeros left admit a local model
+    cs = quantum_constraints(full_table(p))
+    assert cs.zero_events == oracle_zero_events(EXACT_S[p])
+    assert len(cs.zero_events) == n_zeros
+    verdict = audit(cs)
+    assert len(verdict.surviving_strategies) == n_survivors
+    assert verdict.contradiction is contradiction
+    if contradiction:
+        assert cs.positive_event == (("in", "in"), ("d", "d"), F(1, 12))
+    else:
+        assert cs.positive_event is None
 
 
 SYMMETRIC = [BasisKet(PathLabel.u, PathLabel.v),

@@ -33,14 +33,14 @@ class _ScenarioFields(NamedTuple):
 
 
 class ScenarioConfig(_ScenarioFields):
-    """One layout, reaction probability and backend; validated on creation."""
+    """One layout, p (held as a Fraction) and backend, validated on creation."""
 
     __slots__ = ()
 
     def __new__(cls, bs2_plus: bool, bs2_minus: bool,
                 reaction_prob: Fraction = Fraction(1), backend: str = EXACT):
-        measurement.check_reaction_prob(reaction_prob)
-        return super().__new__(cls, bs2_plus, bs2_minus, reaction_prob,
+        return super().__new__(cls, bs2_plus, bs2_minus,
+                               measurement.check_reaction_prob(reaction_prob),
                                amp.backend(backend))
 
     @property

@@ -24,14 +24,19 @@ from .state import ABSORBED, BasisKet, DensityMatrix, PathLabel, StateVector
 DOOMED = BasisKet(PathLabel.u, PathLabel.u)
 
 
-def check_reaction_prob(p) -> None:
-    """Raise SimulationError unless p is a real number (not a bool) with
-    0 <= p <= 1, quoting p only if it is short."""
+def check_reaction_prob(p) -> Fraction:
+    """p as the equal Fraction; SimulationError unless p is a real number (not
+    a bool) in [0, 1] that Fraction() reads. p is quoted only if it is short."""
     if isinstance(p, bool) or not isinstance(p, numbers.Real):
         raise SimulationError(f"reaction probability {echo(repr(p))} "
                               f"is not a real number")
-    if not 0 <= p <= 1:
-        raise SimulationError(f"reaction probability {echo_number(p)} outside [0, 1]")
+    try:
+        if 0 <= p <= 1:
+            return Fraction(p)
+    except (TypeError, ValueError, OverflowError):
+        raise SimulationError(f"reaction probability {echo(repr(p))} "
+                              f"cannot be read as a rational") from None
+    raise SimulationError(f"reaction probability {echo_number(p)} outside [0, 1]")
 
 
 class AnnihilationChannel:
@@ -41,13 +46,15 @@ class AnnihilationChannel:
       pass:   |DOOMED> -> sqrt(1-p) |DOOMED>
       absorb: |DOOMED> -> sqrt(p)   |ABSORBED>
     The sign of the absorbed branch is unobservable here; +sqrt(p) is used.
+    p is held as a Fraction. On the exact backend sqrt(p) and sqrt(1-p) must
+    lie in Q(i, sqrt2) (p in {0, 1, 1/2} and friends); otherwise an
+    UnrepresentableError asks for the float backend, not an approximation.
     """
 
     __slots__ = ("p", "backend", "sqrt_p", "sqrt_1mp")
 
     def __init__(self, p: Fraction, backend: str = EXACT):
-        check_reaction_prob(p)
-        self.p = p
+        self.p = p = check_reaction_prob(p)
         self.backend = amp.backend(backend)
         self.sqrt_p = self.backend.sqrt(p)
         self.sqrt_1mp = self.backend.sqrt(1 - p)
@@ -56,19 +63,18 @@ class AnnihilationChannel:
         one = self.backend.one
 
         def ket_map(ket: BasisKet):
-            if ket == DOOMED:
-                return [(ket, self.sqrt_1mp)]
-            return [(ket, one)]
+            return [(ket, self.sqrt_1mp if ket == DOOMED else one)]
 
         return ket_map
 
     def absorb_map(self):
         def ket_map(ket: BasisKet):
-            if ket == DOOMED:
-                return [(ABSORBED, self.sqrt_p)]
-            return []
+            return [(ABSORBED, self.sqrt_p)] if ket == DOOMED else []
 
         return ket_map
+
+
+annihilation_channel = AnnihilationChannel
 
 
 def project_knowledge(sv: StateVector,
@@ -89,23 +95,15 @@ def project_knowledge(sv: StateVector,
     return kept, survival
 
 
-def annihilation_channel(p: Fraction, backend: str = EXACT) -> AnnihilationChannel:
-    """Build the annihilation channel for reaction probability p.
-
-    On the exact backend both sqrt(p) and sqrt(1-p) must lie in Q(i, sqrt2)
-    (p in {0, 1, 1/2} and friends); otherwise an UnrepresentableError asks
-    for the float backend instead of approximating silently.
-    """
-    return AnnihilationChannel(Fraction(p), backend)
-
-
 def apply_channel(rho: DensityMatrix, ch: AnnihilationChannel) -> DensityMatrix:
-    """rho -> K_pass rho K_pass^dagger + K_abs rho K_abs^dagger."""
+    """rho -> K_pass rho K_pass^dagger + K_abs rho K_abs^dagger. K_abs has one
+    image, c |sink> of DOOMED, so it adds rho(DOOMED, DOOMED) |c|^2 to the sink."""
     rho._check_hermitian()
-    out_pass = rho.apply_ket_map(ch.pass_map())
-    out_abs = rho.apply_ket_map(ch.absorb_map())
-    entries = dict(out_pass.entries)
-    for key, val in out_abs.entries.items():
-        cur = entries.get(key)
-        entries[key] = val if cur is None else cur + val
+    entries = dict(rho.apply_ket_map(ch.pass_map()).entries)
+    doomed = rho.entries.get((DOOMED, DOOMED))
+    [(sink, c)] = ch.absorb_map()(DOOMED)
+    if doomed is not None:
+        term = (doomed * c) * c.conjugate()
+        cur = entries.get((sink, sink))
+        entries[(sink, sink)] = term if cur is None else cur + term
     return DensityMatrix(entries, rho.backend, check=False)

@@ -1,13 +1,15 @@
 """Knowledge projection and the annihilation channel."""
 
+import numbers
 from fractions import Fraction
 
 import pytest
 
-from hardysim.amplitude import EXACT, FLOAT, ExactScalar, I, ONE
+from hardysim.amplitude import EXACT, FLOAT, INV_SQRT2, ExactScalar, I, ONE
 from hardysim.errors import (AnnihilatedError, SimulationError,
                              UnrepresentableError)
-from hardysim.measurement import (DOOMED, annihilation_channel, apply_channel,
+from hardysim.measurement import (DOOMED, AnnihilationChannel,
+                                  annihilation_channel, apply_channel,
                                   project_knowledge)
 from hardysim.optics import apply_bs1_pair
 from hardysim.state import (ABSORBED, BasisKet, DensityMatrix, PathLabel,
@@ -23,6 +25,25 @@ def ket(plus, minus):
 
 
 PARTICLE_KETS = [ket(v, v), ket(v, u), ket(u, v), ket(u, u)]
+
+NOT_REAL = [True, False, "1/2", None, "abc", 0.5 + 0j]
+
+
+class UnreadableReal:
+    """A registered real that compares with 0 and 1 but that Fraction()
+    cannot read, as numpy.float32 is."""
+
+    def __le__(self, other):
+        return True
+
+    def __ge__(self, other):
+        return True
+
+    def __repr__(self):
+        return "UnreadableReal()"
+
+
+numbers.Real.register(UnreadableReal)
 
 
 def certain():
@@ -112,10 +133,28 @@ class TestChannelConstruction:
     def test_p_out_of_range(self):
         # huge terms too: str() of an int past 4300 digits raises ValueError
         for bad in (Fraction(-1, 2), Fraction(3, 2), 10**5000,
-                    Fraction(-1, 10**5000)):
+                    Fraction(-1, 10**5000), float("nan"), float("inf")):
             with pytest.raises(SimulationError) as info:
                 annihilation_channel(bad)
             assert len(str(info.value)) < 200
+
+    @pytest.mark.parametrize("bad", NOT_REAL)
+    def test_p_not_a_real_number(self, bad):
+        # Fraction() would read a bool as 0 or 1 and text as a rational
+        with pytest.raises(SimulationError, match="not a real number") as info:
+            annihilation_channel(bad)
+        assert len(str(info.value)) < 200
+
+    def test_p_real_but_unreadable(self):
+        with pytest.raises(SimulationError, match="cannot be read") as info:
+            annihilation_channel(UnreadableReal())
+        assert len(str(info.value)) < 200
+
+    def test_float_p_is_held_as_a_fraction(self):
+        assert annihilation_channel is AnnihilationChannel
+        ch = annihilation_channel(0.5)
+        assert type(ch.p) is Fraction and ch.p == Fraction(1, 2)
+        assert ch.sqrt_p == INV_SQRT2
 
     def test_exact_backend_rejects_irrational_sqrt(self):
         with pytest.raises(UnrepresentableError):
@@ -177,6 +216,17 @@ class TestApplyChannel:
             rho = pure_to_density(eq3_state())
             out = apply_channel(rho, annihilation_channel(p))
             assert out.diagonal_probability(lambda k: k.is_absorbed) == p / 4
+
+
+    def test_existing_photon_entry_is_kept(self):
+        # half the weight already in the sink; the channel at p = 1/2 adds
+        # p * rho(DOOMED, DOOMED) = 1/2 * 1/8 to it
+        half = Fraction(1, 2)
+        rho = DensityMatrix({**density_times(eq3_state(), half),
+                             (ABSORBED, ABSORBED): ExactScalar(half)})
+        out = apply_channel(rho, annihilation_channel(half))
+        assert out.entries[(ABSORBED, ABSORBED)] == ExactScalar(Fraction(9, 16))
+        assert out.diagonal_probability(lambda k: True) == 1
 
 
 class TestConditioning:

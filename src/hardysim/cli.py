@@ -1,8 +1,9 @@
 """Command-line front end: scenario runs, summary tables, LHV audit, HOM demo.
 
 Exit codes: 0 success; 2 usage or config-file errors (unreadable or
-malformed config, oversized reaction-probability text, unwritable export);
-3 domain errors (e.g. reaction probability outside [0, 1]).
+malformed config, unknown or doubled fields, oversized reaction-probability
+text, unwritable export); 3 domain errors (e.g. reaction probability outside
+[0, 1]).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import hardy
-from .amplitude import EXACT, FLOAT, ExactScalar
+from .amplitude import EXACT, FLOAT
 from .errors import SimulationError, echo
 
 EXIT_OK = 0
@@ -32,43 +33,28 @@ P_EXPONENT_MAX = 400
 _EXPONENT = re.compile(r"e([+-]?\d+(?:_\d+)*)", re.IGNORECASE)
 
 
-def _prob_fields(value):
-    """(exact string, 12-significant-digit float string) for one probability."""
-    if isinstance(value, Fraction):
-        return str(value), f"{float(value):.12g}"
-    if isinstance(value, ExactScalar):  # real element of Q(sqrt2)
-        return value.to_string(), f"{value.to_complex().real:.12g}"
-    return "", f"{value:.12g}"
-
-
-def _fmt_prob(value) -> str:
-    exact, flt = _prob_fields(value)
-    return f"{exact or '-'} | {flt}"
-
-
-def _table_lines(table: hardy.OutcomeTable, title: str):
-    lines = [title]
-    for (dp, dm) in sorted(table.rows):
-        lines.append(f"  {dp},{dm} | {_fmt_prob(table.rows[(dp, dm)])}")
-    if not table.conditional:
-        lines.append(f"  gamma | {_fmt_prob(table.gamma_prob)}")
-    return lines
-
-
 def _table_records(table: hardy.OutcomeTable):
-    records = []
-    for (dp, dm) in sorted(table.rows):
-        exact, flt = _prob_fields(table.rows[(dp, dm)])
-        records.append({"config": table.config, "detector_plus": dp,
-                        "detector_minus": dm, "prob_exact": exact,
-                        "prob_float": flt,
-                        "conditional": str(table.conditional).lower()})
+    """One record per sorted cell, then the gamma record if the table is
+    unconditional. Each probability is given as exact text ("" on the float
+    backend) and as a 12-significant-digit float."""
+    cells = [(cell, table.rows[cell]) for cell in sorted(table.rows)]
     if not table.conditional:
-        exact, flt = _prob_fields(table.gamma_prob)
-        records.append({"config": table.config, "detector_plus": "gamma",
-                        "detector_minus": "gamma", "prob_exact": exact,
-                        "prob_float": flt, "conditional": "false"})
-    return records
+        cells.append((("gamma", "gamma"), table.gamma_prob))
+    return [{"config": table.config, "detector_plus": dp, "detector_minus": dm,
+             "prob_exact": "" if isinstance(value, float) else str(value),
+             "prob_float": f"{float(value):.12g}",
+             "conditional": str(table.conditional).lower()}
+            for (dp, dm), value in cells]
+
+
+def _table_lines(records, title: str):
+    lines = [title]
+    for rec in records:
+        cell = rec["detector_plus"]
+        if cell != "gamma":
+            cell += "," + rec["detector_minus"]
+        lines.append(f"  {cell} | {rec['prob_exact'] or '-'} | {rec['prob_float']}")
+    return lines
 
 
 CSV_FIELDS = ["config", "detector_plus", "detector_minus",
@@ -124,16 +110,31 @@ def _check_p_text(text: str):
                           f"+-{P_EXPONENT_MAX}")
 
 
+def _read_number(text: str) -> Fraction:
+    """A config's JSON number with a fraction or exponent, read as written
+    rather than through a double, and held to the limits of p text."""
+    _check_p_text(text)
+    return Fraction(text)
+
+
+CONFIG_FIELDS = ("bs2_plus", "bs2_minus", "p", "reaction_probability", "backend")
+
+
 def _load_config(path: str) -> hardy.ScenarioConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_read_number)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers bad JSON, bytes that are not UTF-8 and integer
         # literals beyond the int string limit
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    for key in raw:
+        if key not in CONFIG_FIELDS:
+            raise ConfigError(f"unknown config field {echo(repr(key))}")
+    if "p" in raw and "reaction_probability" in raw:
+        raise ConfigError("config gives both p and reaction_probability")
     try:
         bs2_plus = raw["bs2_plus"]
         bs2_minus = raw["bs2_minus"]
@@ -164,13 +165,12 @@ class ConfigError(Exception):
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
     _, table = hardy.run_scenario(cfg)
-    cond = table.conditioned()
-    lines = []
-    lines += _table_lines(cond, f"config {cfg.key}  p={cfg.reaction_prob}  "
-                                f"backend={cfg.backend}  (conditional on no gamma)")
-    lines += _table_lines(table, "unconditional")
-    print("\n".join(lines))
-    records = _table_records(cond) + _table_records(table)
+    cond, uncond = _table_records(table.conditioned()), _table_records(table)
+    title = (f"config {cfg.key}  p={cfg.reaction_prob}  "
+             f"backend={cfg.backend}  (conditional on no gamma)")
+    print("\n".join(_table_lines(cond, title)
+                    + _table_lines(uncond, "unconditional")))
+    records = cond + uncond
     if args.csv:
         _write_csv(args.csv, records)
     if args.json:
@@ -184,23 +184,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_table(args) -> int:
-    tables = hardy.full_table()
-    for key in hardy.CONFIG_KEYS:
-        table = tables[key]
-        layout = {"O": "out", "I": "in"}
-        title = (f"config {key} (BS2+ {layout[key[0]]}, BS2- {layout[key[1]]}), "
-                 f"p=1, conditional")
-        print("\n".join(_table_lines(table, title)))
     from . import lhv
+    tables = hardy.full_table()
+    for (sp, sm), key in lhv.KEY.items():
+        title = f"config {key} (BS2+ {sp}, BS2- {sm}), p=1, conditional"
+        print("\n".join(_table_lines(_table_records(tables[key]), title)))
     cs = lhv.quantum_constraints(tables)
     print("Hardy chain:")
     for (sp, sm), (dp, dm) in cs.zero_events:
         print(f"P({dp}+,{dm}-|{sp},{sm}) = 0")
     (sp, sm), (dp, dm), prob = cs.positive_event
-    _, table = hardy.run_scenario(hardy.ScenarioConfig(sp == lhv.IN, sm == lhv.IN))
+    gamma = tables[lhv.KEY[sp, sm]].gamma_prob
     print(f"P({dp}+,{dm}-|{sp},{sm}) = {prob} (cond), "
-          f"{table.prob(dp, dm)} (uncond)")
-    print(f"gamma probability = {table.gamma_prob}")
+          f"{prob * (1 - gamma)} (uncond)")
+    print(f"gamma probability = {gamma}")
     return EXIT_OK
 
 

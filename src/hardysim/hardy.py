@@ -51,8 +51,9 @@ class ScenarioConfig(_ScenarioFields):
 class OutcomeTable:
     """Coincidence probabilities per detector pair, plus the photon weight.
 
-    conditional=True means rows are renormalized on 'no photon' and sum to 1;
-    otherwise rows + gamma_prob sum to 1.
+    conditional=True means rows are renormalized on 'no photon' and sum to 1,
+    and gamma_prob is the photon weight conditioned away; otherwise
+    rows + gamma_prob sum to 1.
     """
 
     def __init__(self, rows: Dict[Tuple[str, str], Union[Fraction, float]],
@@ -83,8 +84,7 @@ class OutcomeTable:
         if total == 0:
             raise SimulationError("no surviving coincidences to condition on")
         rows = {k: v / total for k, v in self.rows.items()}
-        zero = 0.0 if isinstance(total, float) else Fraction(0)
-        return OutcomeTable(rows, zero, True, self.config)
+        return OutcomeTable(rows, self.gamma_prob, True, self.config)
 
 
 _UV = (PathLabel.u, PathLabel.v)

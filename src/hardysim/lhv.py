@@ -23,7 +23,7 @@ IN, OUT = "in", "out"
 Setting = Tuple[str, str]      # (e+ setting, e- setting), each "in"/"out"
 Outcome = Tuple[str, str]      # (e+ detector, e- detector), each "c"/"d"
 
-_KEY = {(OUT, OUT): "OO", (IN, OUT): "IO", (OUT, IN): "OI", (IN, IN): "II"}
+KEY = {(OUT, OUT): "OO", (IN, OUT): "IO", (OUT, IN): "OI", (IN, IN): "II"}
 
 
 class LocalStrategy(NamedTuple):
@@ -64,13 +64,13 @@ class ConstraintSet(NamedTuple):
 def quantum_constraints(tables: Dict[str, hardy.OutcomeTable]) -> ConstraintSet:
     """Read the Hardy chain off exact conditional coincidence tables.
 
-    The zero events are the cells exactly 0, in _KEY order and then sorted
+    The zero events are the cells exactly 0, in KEY order and then sorted
     cell order. The positive event is the first nonzero cell that no
     strategy surviving those zero events produces, or None. Float tables
     are refused: a zero test on rounded values can give a wrong zero set.
     """
     cells = [(setting, outcome, tables[key].prob(*outcome))
-             for setting, key in _KEY.items()
+             for setting, key in KEY.items()
              for outcome in sorted(tables[key].rows)]
     if any(isinstance(prob, float) for _, _, prob in cells):
         raise SimulationError("the LHV constraints need exact tables, "

@@ -17,7 +17,7 @@ import enum
 from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from . import amplitude as amp
-from .amplitude import EXACT, ExactScalar
+from .amplitude import EXACT
 from .errors import EmptyStateError, NonHermitianError
 
 
@@ -115,12 +115,8 @@ class StateVector:
 
     def dump(self) -> str:
         """Canonical text form, one ket per line in basis order."""
-        lines = []
-        for k in sorted(self.amps, key=BasisKet.sort_key):
-            a = self.amps[k]
-            text = a.to_string() if isinstance(a, ExactScalar) else repr(a)
-            lines.append(f"{k} | {text}")
-        return "\n".join(lines)
+        return "\n".join(f"{k} | {self.amps[k]}"
+                         for k in sorted(self.amps, key=BasisKet.sort_key))
 
     def __repr__(self) -> str:
         return f"StateVector({self.backend}, {{{self.dump()}}})"

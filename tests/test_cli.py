@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hardysim
+from hardysim import hardy
 from hardysim.cli import CSV_FIELDS, P_EXPONENT_MAX, P_TEXT_MAX_CHARS, main
 
 
@@ -82,12 +83,53 @@ class TestRun:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("p_text", ["1e400", "true"])
-    def test_overflowing_or_boolean_p_exits_2(self, tmp_path, capsys, p_text):
+    def test_boolean_p_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
-        path.write_text('{"bs2_plus": true, "bs2_minus": true, "p": %s}' % p_text)
+        path.write_text('{"bs2_plus": true, "bs2_minus": true, "p": true}')
         assert main(["run", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("p_text, backend, code", [
+        pytest.param("1e-400", "exact", 3, id="1e-400"),
+        pytest.param("0.36", "exact", 0, id="0.36"),
+        pytest.param("1e-5000", "float", 2, id="1e-5000"),
+        pytest.param("1e400", "exact", 3, id="1e400"),
+    ])
+    def test_p_number_exits_as_its_string(self, tmp_path, capsys, p_text,
+                                          backend, code):
+        # a JSON number is read as written, not through a double
+        outputs = []
+        for p in (p_text, f'"{p_text}"'):
+            path = tmp_path / "config.json"
+            path.write_text('{"bs2_plus": true, "bs2_minus": true, "p": %s, '
+                            '"backend": "%s"}' % (p, backend))
+            assert main(["run", "--config", str(path)]) == code
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        if code:
+            assert outputs[0].err.startswith("error: ")
+
+    def test_decimal_p_number_prints_as_written(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True, p=0.1,
+                           backend="float")
+        assert main(["run", "--config", cfg]) == 0
+        assert "p=1/10  backend=float" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fields, quoted", [
+        ({"backnd": "float"}, "'backnd'"),
+        ({"P": "1/2"}, "'P'"),
+        ({"p": 1, "reaction_probability": 0}, "both p and reaction_probability"),
+        ({"x" * 1000: 1}, "'" + "x" * 79 + "..."),
+    ], ids=["backnd", "P", "p-and-reaction_probability", "long-key"])
+    def test_unknown_or_doubled_field_exits_2(self, tmp_path, capsys, fields,
+                                              quoted):
+        cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True, **fields)
+        assert main(["run", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert quoted in captured.err
+        assert len(captured.err) < 200
+        assert captured.out == ""
 
 
 class TestInputContract:
@@ -288,6 +330,17 @@ class TestTable:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_runs_four_scenarios(self, capsys, monkeypatch):
+        calls = []
+        run_scenario = hardy.run_scenario
+
+        def counted(cfg):
+            calls.append(cfg.key)
+            return run_scenario(cfg)
+        monkeypatch.setattr(hardy, "run_scenario", counted)
+        assert main(["table"]) == 0
+        assert sorted(calls) == sorted(["OO", "IO", "OI", "II"])
+
 
 class TestReports:
     def test_lhv_audit(self, capsys):
@@ -319,6 +372,20 @@ class TestGolden:
         assert main([command]) == 0
         with open(os.path.join(GOLDEN, f"{command}.txt"), "rb") as fh:
             assert capsys.readouterr().out.encode("utf-8") == fh.read()
+
+    @pytest.mark.parametrize("name", ["run-exact-half", "run-float-half"])
+    def test_run_outputs_match_the_golden_files(self, name, tmp_path, capsys):
+        # golden/<name>.config.json is run; stdout, CSV and JSON must match
+        # golden/<name>.txt, .csv and .json byte for byte, as CI also diffs
+        csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+        assert main(["run", "--config",
+                     os.path.join(GOLDEN, f"{name}.config.json"),
+                     "--csv", str(csv_path), "--json", str(json_path)]) == 0
+        outputs = {"txt": capsys.readouterr().out.encode("utf-8"),
+                   "csv": csv_path.read_bytes(), "json": json_path.read_bytes()}
+        for ext, got in outputs.items():
+            with open(os.path.join(GOLDEN, f"{name}.{ext}"), "rb") as fh:
+                assert got == fh.read(), ext
 
 
 class TestUsage:

@@ -113,6 +113,34 @@ class TestNormalization:
             assert table.gamma_prob == p / 4
 
 
+class TestConditioning:
+    """conditioned() keeps the photon weight it conditions away."""
+
+    # the reaction probabilities of the benchmark's exact_sweep
+    SWEEP_PS = [Fraction(p) for p in ("0", "1", "1/2", "9/25", "16/25", "1/9",
+                                      "8/9", "1/50", "49/50")]
+
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    def test_keeps_gamma_prob(self, backend):
+        for p in (Fraction(1), Fraction(1, 2)):
+            _, table = run_scenario(ScenarioConfig(True, True, p, backend))
+            cond = table.conditioned()
+            assert cond.conditional
+            assert cond.gamma_prob == table.gamma_prob
+            assert type(cond.gamma_prob) is type(table.gamma_prob)
+
+    @pytest.mark.parametrize("p", SWEEP_PS, ids=str)
+    def test_rows_times_survival_give_the_unconditional_rows(self, p):
+        for key, (bs2_plus, bs2_minus) in zip(
+                CONFIG_KEYS, [(False, False), (True, False), (False, True),
+                              (True, True)]):
+            _, table = run_scenario(ScenarioConfig(bs2_plus, bs2_minus, p))
+            assert table.config == key
+            cond = table.conditioned()
+            for cell, value in table.rows.items():
+                assert cond.rows[cell] * (1 - cond.gamma_prob) == value
+
+
 class TestBaseline:
     """p = 0: balanced interferometers, no annihilation branch."""
 

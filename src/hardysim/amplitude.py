@@ -165,10 +165,6 @@ class ExactScalar:
             return self
         return _signed(n0, -n1, n2, -n3, d)
 
-    def norm_sq(self) -> "ExactScalar":
-        """self * conj(self); i-parts are always zero."""
-        return self * self.conjugate()
-
     def __eq__(self, other) -> bool:
         o = other if type(other) is ExactScalar else _coerce(other)
         if o is None:
@@ -181,16 +177,6 @@ class ExactScalar:
             return hash(self.ints)
         # Rational values hash as the int or Fraction they compare equal to.
         return hash(Fraction(n0, d))
-
-    def is_zero(self) -> bool:
-        return self.ints == _ZERO_INTS
-
-    def as_fraction(self) -> Fraction:
-        """The value as a plain rational; raises if i or sqrt2 parts remain."""
-        n0, n1, n2, n3, d = self.ints
-        if n1 or n2 or n3:
-            raise UnrepresentableError(f"{self} is not a plain rational")
-        return Fraction(n0, d)
 
     def to_complex(self) -> complex:
         # int / int is correctly rounded, as float(Fraction) is.

@@ -110,11 +110,21 @@ def _check_p_text(text: str):
                           f"+-{P_EXPONENT_MAX}")
 
 
-def _read_number(text: str) -> Fraction:
-    """A config's JSON number with a fraction or exponent, read as written
-    rather than through a double, and held to the limits of p text."""
-    _check_p_text(text)
-    return Fraction(text)
+class _NumberText(str):
+    """A config's JSON number with a fraction or exponent, kept as written:
+    p reads it as p text, not through a double, and errors quote it so."""
+
+    __repr__ = str.__str__
+
+
+def _fields_once(pairs):
+    """A JSON object's fields as a dict; a field named twice is refused."""
+    fields = {}
+    for key, value in pairs:
+        if key in fields:
+            raise ConfigError(f"config names field {echo(repr(key))} twice")
+        fields[key] = value
+    return fields
 
 
 CONFIG_FIELDS = ("bs2_plus", "bs2_minus", "p", "reaction_probability", "backend")
@@ -123,7 +133,8 @@ CONFIG_FIELDS = ("bs2_plus", "bs2_minus", "p", "reaction_probability", "backend"
 def _load_config(path: str) -> hardy.ScenarioConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh, parse_float=_read_number)
+            raw = json.load(fh, parse_float=_NumberText,
+                            object_pairs_hook=_fields_once)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers bad JSON, bytes that are not UTF-8 and integer
         # literals beyond the int string limit

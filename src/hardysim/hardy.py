@@ -18,8 +18,6 @@ from .amplitude import EXACT
 from .errors import SimulationError
 from .state import BasisKet, PathLabel, make_input, pure_to_density
 
-CONFIG_KEYS = ("OO", "IO", "OI", "II")  # (bs2_plus, bs2_minus): O=removed, I=in place
-
 DETECTORS = ("c", "d")
 
 _DET_LABEL = {"c": PathLabel.c, "d": PathLabel.d}
@@ -45,6 +43,7 @@ class ScenarioConfig(_ScenarioFields):
 
     @property
     def key(self) -> str:
+        """The layout's name, plus arm first: O = BS2 removed, I = in place."""
         return ("I" if self.bs2_plus else "O") + ("I" if self.bs2_minus else "O")
 
 

@@ -116,7 +116,7 @@ def _relabel_ket_map(backend: str, arm: str,
 def apply_bs1_pair(sv: StateVector) -> StateVector:
     """Send |S+>|S-> through both first beam splitters (S -> v, u per arm)."""
     expected = {BasisKet(PathLabel.S, PathLabel.S)}
-    if sv.support() != expected:
+    if set(sv.amps) != expected:
         raise SimulationError("apply_bs1_pair expects the bare source state")
     out = apply_bs(sv, PLUS, (PathLabel.S, PathLabel.S),
                    (PathLabel.v, PathLabel.u))

@@ -82,9 +82,6 @@ class StateVector:
     def is_zero(self) -> bool:
         return not self.amps
 
-    def support(self):
-        return set(self.amps)
-
     def inner(self, other: "StateVector"):
         """<self|other> in the shared amplitude type."""
         total = self.backend.zero
@@ -127,20 +124,6 @@ def make_input(backend: str = EXACT) -> StateVector:
     backend = amp.backend(backend)
     return StateVector({BasisKet(PathLabel.S, PathLabel.S): backend.one},
                        backend)
-
-
-def equal_up_to_global_phase(a: StateVector, b: StateVector,
-                             strict: bool = False) -> bool:
-    """|<a|b>|^2 / (|a|^2 |b|^2) == 1, i.e. same ray; a ratio, so that states
-    of small norm are told apart too. strict=True compares amplitudes."""
-    if a.is_zero() or b.is_zero():
-        raise EmptyStateError("empty state")
-    if strict:
-        return a.amps == b.amps
-    backend = a.backend
-    overlap = a.inner(b)
-    return backend.close(backend.ratio(overlap * overlap.conjugate(),
-                                       a._norm_sq * b._norm_sq), 1)
 
 
 class DensityMatrix:

@@ -132,6 +132,28 @@ class TestRun:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("text, quoted", [
+        # json.load alone keeps the last of two equal fields and runs on
+        ('"bs2_plus": true, "bs2_minus": true, "bs2_plus": false, "p": 1',
+         "field 'bs2_plus' twice"),
+        ('"bs2_plus": true, "bs2_minus": true, "p": 1, "p": 0', "field 'p' twice"),
+        # only p reads a number's text as a reaction probability
+        ('"bs2_plus": 0.5, "bs2_minus": true', "got 0.5"),
+        ('"bs2_plus": 1e-5000, "bs2_minus": true', "got 1e-5000"),
+        ('"bs2_plus": true, "bs2_minus": true, "backend": 0.5',
+         "unknown backend 0.5"),
+    ], ids=["bs2_plus-twice", "p-twice", "bs2_plus-0.5", "bs2_plus-1e-5000",
+            "backend-0.5"])
+    def test_config_text_exits_2(self, tmp_path, capsys, text, quoted):
+        path = tmp_path / "config.json"
+        path.write_text("{%s}" % text)
+        assert main(["run", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and quoted in captured.err
+        assert "reaction probability" not in captured.err
+        assert "Fraction(" not in captured.err
+        assert captured.out == ""
+
 class TestInputContract:
     """Undecodable, oversized or too deeply nested config input exits 2."""
 

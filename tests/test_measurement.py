@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hardysim.amplitude import EXACT, FLOAT, INV_SQRT2, ExactScalar, I, ONE
+from hardysim.amplitude import EXACT, FLOAT, INV_SQRT2, ExactScalar, ONE
 from hardysim.errors import (AnnihilatedError, SimulationError,
                              UnrepresentableError)
 from hardysim.measurement import (DOOMED, AnnihilationChannel,
@@ -13,9 +13,9 @@ from hardysim.measurement import (DOOMED, AnnihilationChannel,
                                   project_knowledge)
 from hardysim.optics import apply_bs1_pair
 from hardysim.state import (ABSORBED, BasisKet, DensityMatrix, PathLabel,
-                            StateVector, equal_up_to_global_phase, make_input,
-                            pure_to_density)
-from test_state import density_times, eq3_state, eq6_state, no_photon_entries
+                            StateVector, make_input, pure_to_density)
+from test_state import (density_times, eq3_state, eq6_state, no_photon_entries,
+                        scaled)
 
 S, u, v, c, d = PathLabel
 
@@ -55,12 +55,9 @@ class TestProjectKnowledge:
     def test_eq3_projects_to_eq6(self):
         projected, survival = project_knowledge(eq3_state(), certain())
         assert survival == Fraction(3, 4)
-        assert projected.support() == {ket(v, v), ket(v, u), ket(u, v)}
-        assert equal_up_to_global_phase(projected, eq6_state())
-        # relative amplitudes {1, i, i}
-        base = projected.amps[ket(v, v)]
-        assert projected.amps[ket(v, u)] == I * base
-        assert projected.amps[ket(u, v)] == I * base
+        # eq3's amplitudes on eq6's kets, {1, i, i}/2: the projection
+        # rescales nothing, so every exact amplitude is fixed
+        assert projected.amps == scaled(eq6_state(), ONE / 2).amps
 
     def test_already_inside_kept(self):
         projected, survival = project_knowledge(eq6_state(), certain())

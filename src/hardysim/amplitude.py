@@ -16,7 +16,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import (EmptyStateError, SimulationError, UnrepresentableError,
+from .errors import (ConfigError, EmptyStateError, UnrepresentableError, echo,
                      echo_number)
 
 FLOAT_TOL = 1e-12
@@ -209,7 +209,8 @@ class ExactScalar:
         text = text.strip()
         if text != "0":
             for part in text.split(" + "):
-                m = re.fullmatch(r"(-?\d+(?:/\d+)?)((?:\*i)?(?:\*r2)?)", part.strip())
+                m = re.fullmatch(r"(-?\d+(?:/0*[1-9]\d*)?)((?:\*i)?(?:\*r2)?)",
+                             part.strip())
                 if m is None:
                     raise ValueError(f"malformed ExactScalar term: {part!r}")
                 coeffs[m.group(2)] += Fraction(m.group(1))
@@ -357,11 +358,11 @@ _BACKENDS = {EXACT: EXACT, FLOAT: FLOAT}
 
 
 def backend(name) -> Backend:
-    """The backend called name ("exact" or "float"); anything else raises."""
+    """The backend called name ("exact" or "float"); else ConfigError."""
     try:
         return _BACKENDS[name]
     except (KeyError, TypeError):
-        raise SimulationError(f"unknown backend {name!r}") from None
+        raise ConfigError(f"unknown backend {echo(repr(name))}") from None
 
 
 def real_part(x):

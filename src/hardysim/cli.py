@@ -1,9 +1,9 @@
 """Command-line front end: scenario runs, summary tables, LHV audit, HOM demo.
 
-Exit codes: 0 success; 2 usage or config-file errors (unreadable or
+Exit codes: 0 success; 2 usage errors and ConfigError: an unreadable or
 malformed config, unknown or doubled fields, oversized reaction-probability
-text, unwritable export); 3 domain errors (e.g. reaction probability outside
-[0, 1]).
+text and unwritable exports here, and any field value ScenarioConfig refuses;
+3 any other SimulationError (e.g. reaction probability outside [0, 1]).
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import sys
 from fractions import Fraction
 
 from . import hardy
-from .amplitude import EXACT, FLOAT
-from .errors import SimulationError, echo
+from .amplitude import EXACT
+from .errors import ConfigError, SimulationError, echo
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -146,31 +146,15 @@ def _load_config(path: str) -> hardy.ScenarioConfig:
             raise ConfigError(f"unknown config field {echo(repr(key))}")
     if "p" in raw and "reaction_probability" in raw:
         raise ConfigError("config gives both p and reaction_probability")
-    try:
-        bs2_plus = raw["bs2_plus"]
-        bs2_minus = raw["bs2_minus"]
-    except KeyError as exc:
-        raise ConfigError(f"config missing field {exc}") from exc
-    for name, value in (("bs2_plus", bs2_plus), ("bs2_minus", bs2_minus)):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{name} must be true or false, got {echo(repr(value))}")
-    p_raw = raw.get("reaction_probability", raw.get("p", 1))
-    if isinstance(p_raw, bool):  # Fraction(True) would read as p = 1
-        raise ConfigError(f"bad reaction probability {echo(repr(p_raw))}")
-    if isinstance(p_raw, str):
-        _check_p_text(p_raw)
-    try:
-        p = Fraction(p_raw)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"bad reaction probability {echo(repr(p_raw))}") from exc
-    backend = raw.get("backend", EXACT)
-    if backend not in (EXACT, FLOAT):
-        raise ConfigError(f"unknown backend {echo(repr(backend))}")
-    return hardy.ScenarioConfig(bs2_plus, bs2_minus, p, backend)
-
-
-class ConfigError(Exception):
-    pass
+    p = raw.get("reaction_probability", raw.get("p", 1))
+    if isinstance(p, str):
+        _check_p_text(p)
+        try:
+            p = Fraction(p)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad reaction probability {echo(repr(p))}") from exc
+    return hardy.ScenarioConfig(raw.get("bs2_plus"), raw.get("bs2_minus"), p,
+                                raw.get("backend", EXACT))
 
 
 def cmd_run(args) -> int:
@@ -257,12 +241,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_DOMAIN
 
 
 if __name__ == "__main__":

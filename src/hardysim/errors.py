@@ -24,6 +24,10 @@ class SimulationError(Exception):
     """Base class for all domain errors raised by hardysim."""
 
 
+class ConfigError(SimulationError):
+    """An input of the wrong type or an unknown name; the CLI exits 2 on it."""
+
+
 class EmptyStateError(SimulationError):
     """A zero-norm state was used where a normalizable state is required."""
 

@@ -15,7 +15,7 @@ from typing import Dict, NamedTuple, Tuple, Union
 from . import amplitude as amp
 from . import measurement, optics
 from .amplitude import EXACT
-from .errors import SimulationError
+from .errors import ConfigError, SimulationError, echo
 from .state import BasisKet, PathLabel, make_input, pure_to_density
 
 DETECTORS = ("c", "d")
@@ -31,15 +31,21 @@ class _ScenarioFields(NamedTuple):
 
 
 class ScenarioConfig(_ScenarioFields):
-    """One layout, p (held as a Fraction) and backend, validated on creation."""
+    """One layout, p (held as a Fraction) and backend. Checked on creation,
+    flags, then backend, then p: a wrong type or an unknown backend raises
+    ConfigError, a p outside [0, 1] SimulationError."""
 
     __slots__ = ()
 
     def __new__(cls, bs2_plus: bool, bs2_minus: bool,
                 reaction_prob: Fraction = Fraction(1), backend: str = EXACT):
+        for name, flag in (("bs2_plus", bs2_plus), ("bs2_minus", bs2_minus)):
+            if not isinstance(flag, bool):
+                raise ConfigError(f"{name} must be true or false, got {echo(repr(flag))}")
+        backend = amp.backend(backend)
         return super().__new__(cls, bs2_plus, bs2_minus,
                                measurement.check_reaction_prob(reaction_prob),
-                               amp.backend(backend))
+                               backend)
 
     @property
     def key(self) -> str:

@@ -66,9 +66,13 @@ def quantum_constraints(tables: Dict[str, hardy.OutcomeTable]) -> ConstraintSet:
 
     The zero events are the cells exactly 0, in KEY order and then sorted
     cell order. The positive event is the first nonzero cell that no
-    strategy surviving those zero events produces, or None. Float tables
-    are refused: a zero test on rounded values can give a wrong zero set.
+    strategy surviving those zero events produces, or None. Missing layouts
+    and float tables are refused: a zero test on rounded values can give a
+    wrong zero set.
     """
+    for key in KEY.values():
+        if key not in tables:
+            raise SimulationError(f"the LHV constraints need layout {key}'s table")
     cells = [(setting, outcome, tables[key].prob(*outcome))
              for setting, key in KEY.items()
              for outcome in sorted(tables[key].rows)]

@@ -17,25 +17,27 @@ from typing import Tuple
 
 from . import amplitude as amp
 from .amplitude import EXACT
-from .errors import (AnnihilatedError, EmptyStateError, SimulationError, echo,
-                     echo_number)
+from .errors import (AnnihilatedError, ConfigError, EmptyStateError,
+                     SimulationError, echo, echo_number)
 from .state import ABSORBED, BasisKet, DensityMatrix, PathLabel, StateVector
 
 DOOMED = BasisKet(PathLabel.u, PathLabel.u)
 
 
 def check_reaction_prob(p) -> Fraction:
-    """p as the equal Fraction; SimulationError unless p is a real number (not
-    a bool) in [0, 1] that Fraction() reads. p is quoted only if it is short."""
+    """p as the equal Fraction; ConfigError unless p is a real number (not a
+    bool) that Fraction() reads (NaN and +-inf are not), SimulationError
+    outside [0, 1]. p is quoted only if it is short."""
     if isinstance(p, bool) or not isinstance(p, numbers.Real):
-        raise SimulationError(f"reaction probability {echo(repr(p))} "
-                              f"is not a real number")
+        raise ConfigError(f"reaction probability {echo(repr(p))} "
+                          f"is not a real number")
     try:
-        if 0 <= p <= 1:
-            return Fraction(p)
+        held = Fraction(p)
     except (TypeError, ValueError, OverflowError):
-        raise SimulationError(f"reaction probability {echo(repr(p))} "
-                              f"cannot be read as a rational") from None
+        raise ConfigError(f"reaction probability {echo(repr(p))} "
+                          f"cannot be read as a rational") from None
+    if 0 <= held <= 1:
+        return held
     raise SimulationError(f"reaction probability {echo_number(p)} outside [0, 1]")
 
 

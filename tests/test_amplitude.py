@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hardysim import amplitude as amp
 from hardysim.amplitude import (FLOAT_TOL, ExactScalar, I, INV_SQRT2, ONE, ZERO,
                                 exact_sqrt, real_part)
-from hardysim.errors import SimulationError, UnrepresentableError
+from hardysim.errors import ConfigError, UnrepresentableError
 
 
 def frac(n, d=1):
@@ -134,6 +134,9 @@ class TestSerialization:
     def test_malformed(self):
         with pytest.raises(ValueError):
             ExactScalar.from_string("1 + bogus")
+        for text in ("1/0", "2 + -1/00*i"):  # Fraction() alone divides by zero
+            with pytest.raises(ValueError, match="malformed"):
+                ExactScalar.from_string(text)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -372,7 +375,7 @@ class TestBackend:
 
     @pytest.mark.parametrize("name", ["symbolic", "EXACT", "", None, ["exact"]])
     def test_unknown_name_raises(self, name):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError, match="unknown backend"):
             amp.backend(name)
 
     def test_a_backend_is_its_name(self):

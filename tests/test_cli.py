@@ -154,6 +154,25 @@ class TestRun:
         assert "Fraction(" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("text, quoted", [
+        ('"bs2_plus": true, "bs2_minus": true, "p": NaN',
+         "reaction probability nan cannot be read as a rational"),
+        ('"bs2_plus": true, "bs2_minus": true, "p": -Infinity',
+         "reaction probability -inf cannot be read as a rational"),
+        ('"bs2_plus": true, "bs2_minus": true, "p": null',
+         "reaction probability None is not a real number"),
+        ('"bs2_plus": true, "p": 1', "bs2_minus must be true or false, got None"),
+    ], ids=["p-NaN", "p--Infinity", "p-null", "no-bs2_minus"])
+    def test_field_value_refused_by_scenario_config_exits_2(self, tmp_path,
+                                                            capsys, text, quoted):
+        path = tmp_path / "config.json"
+        path.write_text("{%s}" % text)
+        assert main(["run", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {quoted}\n"
+        assert captured.out == ""
+
+
 class TestInputContract:
     """Undecodable, oversized or too deeply nested config input exits 2."""
 

@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hardysim import amplitude, optics
 from hardysim.amplitude import EXACT, FLOAT, I, ONE
-from hardysim.errors import SimulationError
+from hardysim.errors import ConfigError, SimulationError
 from hardysim.hardy import OutcomeTable, ScenarioConfig, full_table, run_scenario
 from hardysim.measurement import annihilation_channel, apply_channel
 from hardysim.state import (BasisKet, DensityMatrix, PathLabel, StateVector,
@@ -224,12 +225,12 @@ class TestConfigValidation:
                                      "x" * 10**6, [Fraction(1)], "abc"])
     def test_p_not_a_real_number(self, bad):
         # a bool would run as p = 0 or 1 and be reported as True or False
-        with pytest.raises(SimulationError, match="not a real number") as info:
+        with pytest.raises(ConfigError, match="not a real number") as info:
             ScenarioConfig(True, True, bad)
         assert len(str(info.value)) < 200
 
     def test_p_real_but_unreadable(self):
-        with pytest.raises(SimulationError, match="cannot be read") as info:
+        with pytest.raises(ConfigError, match="cannot be read") as info:
             ScenarioConfig(True, True, UnreadableReal())
         assert len(str(info.value)) < 200
 
@@ -239,8 +240,26 @@ class TestConfigValidation:
         assert held == p and type(held) is Fraction
 
     def test_unknown_backend(self):
-        with pytest.raises(SimulationError):
-            ScenarioConfig(True, True, Fraction(1), "symbolic")
+        for name in ("symbolic", "y" * 1000):
+            with pytest.raises(ConfigError, match="unknown backend") as info:
+                ScenarioConfig(True, True, Fraction(1), name)
+            assert len(str(info.value)) < 200
+
+    @pytest.mark.parametrize("flags", [("a", "b"), ("", "x"), (None, [0]),
+                                       (1, 0), (True, 0)],
+                             ids=["a-b", "empty-x", "None-list", "1-0", "True-0"])
+    def test_flag_that_is_not_a_bool(self, flags):
+        # each of these once ran silently as some layout: ("a", "b") as II
+        with pytest.raises(ConfigError, match="must be true or false"):
+            ScenarioConfig(*flags)
+
+    def test_backend_is_checked_before_the_range_of_p(self):
+        # so the CLI exits 2, not 3, on a config with both faults
+        with pytest.raises(ConfigError, match="unknown backend"):
+            ScenarioConfig(True, True, 2, "symbolic")
+        with pytest.raises(SimulationError, match="outside") as info:
+            ScenarioConfig(True, True, 2)
+        assert not isinstance(info.value, ConfigError)
 
     def test_backend_name_is_kept(self):
         cfg = ScenarioConfig(True, True, backend="float")
@@ -257,6 +276,33 @@ class TestConfigValidation:
         assert ScenarioConfig(True, False).key == "IO"
         assert ScenarioConfig(False, True).key == "OI"
         assert ScenarioConfig(True, True).key == "II"
+
+
+mixed = (st.none() | st.booleans() | st.integers() | st.floats()
+         | st.fractions() | st.complex_numbers() | st.text(max_size=6)
+         | st.lists(st.booleans() | st.integers(), max_size=2))
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans() | mixed, st.booleans() | mixed,
+           st.fractions(min_value=0, max_value=1) | mixed,
+           st.sampled_from(["exact", "float", EXACT, FLOAT]) | mixed)
+    def test_fields_are_checked_or_refused(self, plus, minus, p, backend):
+        try:
+            cfg = ScenarioConfig(plus, minus, p, backend)
+        except SimulationError:
+            pass
+        else:
+            assert type(cfg.bs2_plus) is bool and type(cfg.bs2_minus) is bool
+            assert type(cfg.reaction_prob) is Fraction
+            assert 0 <= cfg.reaction_prob <= 1
+            assert cfg.backend is EXACT or cfg.backend is FLOAT
+        try:
+            tables = full_table(p, backend)
+        except SimulationError:
+            return
+        assert sorted(tables) == ["II", "IO", "OI", "OO"]
 
 
 class TestOutcomeTable:

@@ -49,6 +49,12 @@ class TestQuantumConstraints:
         with pytest.raises(SimulationError, match="exact tables"):
             quantum_constraints(full_table(backend=FLOAT))
 
+    def test_missing_layout_is_named(self):
+        with pytest.raises(SimulationError, match="layout OO"):
+            quantum_constraints({})
+        with pytest.raises(SimulationError, match="layout IO"):
+            quantum_constraints({"OO": full_table()["OO"]})
+
 
 class TestAudit:
     def test_contradiction(self):

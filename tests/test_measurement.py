@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hardysim.amplitude import EXACT, FLOAT, INV_SQRT2, ExactScalar, ONE
-from hardysim.errors import (AnnihilatedError, SimulationError,
+from hardysim.errors import (AnnihilatedError, ConfigError, SimulationError,
                              UnrepresentableError)
 from hardysim.measurement import (DOOMED, AnnihilationChannel,
                                   annihilation_channel, apply_channel,
@@ -138,14 +138,24 @@ class TestChannelConstruction:
     @pytest.mark.parametrize("bad", NOT_REAL)
     def test_p_not_a_real_number(self, bad):
         # Fraction() would read a bool as 0 or 1 and text as a rational
-        with pytest.raises(SimulationError, match="not a real number") as info:
+        with pytest.raises(ConfigError, match="not a real number") as info:
             annihilation_channel(bad)
         assert len(str(info.value)) < 200
 
     def test_p_real_but_unreadable(self):
-        with pytest.raises(SimulationError, match="cannot be read") as info:
+        with pytest.raises(ConfigError, match="cannot be read") as info:
             annihilation_channel(UnreadableReal())
         assert len(str(info.value)) < 200
+
+    def test_only_a_finite_p_is_out_of_range(self):
+        # Fraction() runs before the range test: NaN and +-inf cannot be read
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match="cannot be read"):
+                annihilation_channel(bad)
+        for bad in (Fraction(3, 2), -1, 1.5, 10**5000):
+            with pytest.raises(SimulationError, match="outside") as info:
+                annihilation_channel(bad)
+            assert not isinstance(info.value, ConfigError)
 
     def test_float_p_is_held_as_a_fraction(self):
         assert annihilation_channel is AnnihilationChannel

@@ -16,8 +16,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import (ConfigError, EmptyStateError, UnrepresentableError, echo,
-                     echo_number)
+from .errors import ConfigError, EmptyStateError, UnrepresentableError, echo
 
 FLOAT_TOL = 1e-12
 # A float value at most this times the largest magnitude in its map is a
@@ -282,7 +281,7 @@ def exact_sqrt(q: Fraction) -> ExactScalar:
         r = _rational_sqrt(n // 2, d) if n % 2 == 0 else _rational_sqrt(n, 2 * d)
         if r is not None:
             return _make(0, 0, r[0], 0, r[1])
-    raise UnrepresentableError(f"sqrt({echo_number(q)}) is not in Q(i, sqrt2)")
+    raise UnrepresentableError(f"sqrt({echo(q)}) is not in Q(i, sqrt2)")
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +361,7 @@ def backend(name) -> Backend:
     try:
         return _BACKENDS[name]
     except (KeyError, TypeError):
-        raise ConfigError(f"unknown backend {echo(repr(name))}") from None
+        raise ConfigError(f"unknown backend {echo(name)}") from None
 
 
 def real_part(x):

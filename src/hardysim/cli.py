@@ -122,7 +122,7 @@ def _fields_once(pairs):
     fields = {}
     for key, value in pairs:
         if key in fields:
-            raise ConfigError(f"config names field {echo(repr(key))} twice")
+            raise ConfigError(f"config names field {echo(key)} twice")
         fields[key] = value
     return fields
 
@@ -143,7 +143,7 @@ def _load_config(path: str) -> hardy.ScenarioConfig:
         raise ConfigError("config must be a JSON object")
     for key in raw:
         if key not in CONFIG_FIELDS:
-            raise ConfigError(f"unknown config field {echo(repr(key))}")
+            raise ConfigError(f"unknown config field {echo(key)}")
     if "p" in raw and "reaction_probability" in raw:
         raise ConfigError("config gives both p and reaction_probability")
     p = raw.get("reaction_probability", raw.get("p", 1))
@@ -152,7 +152,7 @@ def _load_config(path: str) -> hardy.ScenarioConfig:
         try:
             p = Fraction(p)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad reaction probability {echo(repr(p))}") from exc
+            raise ConfigError(f"bad reaction probability {echo(p)}") from exc
     return hardy.ScenarioConfig(raw.get("bs2_plus"), raw.get("bs2_minus"), p,
                                 raw.get("backend", EXACT))
 

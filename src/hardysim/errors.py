@@ -1,23 +1,28 @@
-"""Exception types shared across the simulator; echo() and echo_number()
-bound the values they quote."""
+"""Exception types shared across the simulator; echo() bounds the values
+they quote."""
+
+import numbers
 
 ECHO_MAX_CHARS = 80
 QUOTE_MAX_BITS = 256  # longer numbers are not quoted: str() of a huge int is slow or raises
 
 
-def echo(text: str) -> str:
-    """An offending value's text as an error message quotes it: cut to
-    ECHO_MAX_CHARS characters, with "..." if anything was cut."""
+def echo(value) -> str:
+    """An offending value as an error message quotes it: a rational by str()
+    if its numerator and denominator fit in QUOTE_MAX_BITS bits, any other
+    value by repr() unless that raises ValueError or RecursionError, else a
+    placeholder; cut to ECHO_MAX_CHARS characters, with "..." if cut."""
+    if isinstance(value, numbers.Rational):
+        if max(abs(t).bit_length()
+               for t in (value.numerator, value.denominator)) > QUOTE_MAX_BITS:
+            return "(too long to quote)"
+        text = str(value)
+    else:
+        try:
+            text = repr(value)
+        except (ValueError, RecursionError):
+            return "(too long to quote)"
     return text if len(text) <= ECHO_MAX_CHARS else text[:ECHO_MAX_CHARS] + "..."
-
-
-def echo_number(x) -> str:
-    """A rational's text as an error message quotes it: echo(str(x)) if its
-    numerator and denominator fit in QUOTE_MAX_BITS bits, else a placeholder."""
-    terms = (getattr(x, "numerator", 0), getattr(x, "denominator", 1))
-    if max(abs(t).bit_length() for t in terms) > QUOTE_MAX_BITS:
-        return "(too long to quote)"
-    return echo(str(x))
 
 
 class SimulationError(Exception):

@@ -16,11 +16,9 @@ from . import amplitude as amp
 from . import measurement, optics
 from .amplitude import EXACT
 from .errors import ConfigError, SimulationError, echo
-from .state import BasisKet, PathLabel, make_input, pure_to_density
+from .state import BasisKet, PathLabel, pure_to_density
 
 DETECTORS = ("c", "d")
-
-_DET_LABEL = {"c": PathLabel.c, "d": PathLabel.d}
 
 
 class _ScenarioFields(NamedTuple):
@@ -41,7 +39,7 @@ class ScenarioConfig(_ScenarioFields):
                 reaction_prob: Fraction = Fraction(1), backend: str = EXACT):
         for name, flag in (("bs2_plus", bs2_plus), ("bs2_minus", bs2_minus)):
             if not isinstance(flag, bool):
-                raise ConfigError(f"{name} must be true or false, got {echo(repr(flag))}")
+                raise ConfigError(f"{name} must be true or false, got {echo(flag)}")
         backend = amp.backend(backend)
         return super().__new__(cls, bs2_plus, bs2_minus,
                                measurement.check_reaction_prob(reaction_prob),
@@ -94,7 +92,6 @@ class OutcomeTable:
 
 _UV = (PathLabel.u, PathLabel.v)
 _CD = (PathLabel.c, PathLabel.d)
-_REMOVED_BS2 = {PathLabel.u: PathLabel.c, PathLabel.v: PathLabel.d}
 
 
 def _bs2_stage(obj, present_plus: bool, present_minus: bool):
@@ -105,13 +102,12 @@ def _bs2_stage(obj, present_plus: bool, present_minus: bool):
         if present:
             obj = obj.apply_ket_map(optics.bs_ket_map(backend, arm, _UV, _CD))
         else:
-            obj = obj.apply_ket_map(
-                optics.relabel_ket_map(backend, arm, _REMOVED_BS2))
+            obj = obj.apply_ket_map(optics.relabel_ket_map(backend, arm))
     return obj
 
 
 def _is_coincidence(det_plus: str, det_minus: str):
-    lp, lm = _DET_LABEL[det_plus], _DET_LABEL[det_minus]
+    lp, lm = PathLabel[det_plus], PathLabel[det_minus]
 
     def predicate(ket: BasisKet) -> bool:
         return (not ket.is_absorbed) and ket.plus == lp and ket.minus == lm
@@ -129,7 +125,7 @@ def run_scenario(cfg: ScenarioConfig):
     result is a DensityMatrix.
     """
     p = cfg.reaction_prob
-    sv = optics.apply_bs1_pair(make_input(cfg.backend))
+    sv = optics.apply_bs1_pair(cfg.backend)
     ch = measurement.annihilation_channel(p, cfg.backend)
 
     if p in (0, 1):

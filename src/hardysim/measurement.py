@@ -18,7 +18,7 @@ from typing import Tuple
 from . import amplitude as amp
 from .amplitude import EXACT
 from .errors import (AnnihilatedError, ConfigError, EmptyStateError,
-                     SimulationError, echo, echo_number)
+                     SimulationError, echo)
 from .state import ABSORBED, BasisKet, DensityMatrix, PathLabel, StateVector
 
 DOOMED = BasisKet(PathLabel.u, PathLabel.u)
@@ -29,16 +29,16 @@ def check_reaction_prob(p) -> Fraction:
     bool) that Fraction() reads (NaN and +-inf are not), SimulationError
     outside [0, 1]. p is quoted only if it is short."""
     if isinstance(p, bool) or not isinstance(p, numbers.Real):
-        raise ConfigError(f"reaction probability {echo(repr(p))} "
+        raise ConfigError(f"reaction probability {echo(p)} "
                           f"is not a real number")
     try:
         held = Fraction(p)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"reaction probability {echo(repr(p))} "
+        raise ConfigError(f"reaction probability {echo(p)} "
                           f"cannot be read as a rational") from None
     if 0 <= held <= 1:
         return held
-    raise SimulationError(f"reaction probability {echo_number(p)} outside [0, 1]")
+    raise SimulationError(f"reaction probability {echo(p)} outside [0, 1]")
 
 
 class AnnihilationChannel:

@@ -9,14 +9,16 @@ pure relabeling of internal paths onto detector ports.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Tuple
+from typing import Tuple
 
 from . import amplitude as amp
-from .errors import ModeAliasingError, SimulationError
+from .amplitude import EXACT
+from .errors import ModeAliasingError
 from .state import BasisKet, PathLabel, StateVector
 
 PLUS = "plus"
 MINUS = "minus"
+_REMOVED_BS2 = {PathLabel.u: PathLabel.c, PathLabel.v: PathLabel.d}
 
 
 def _arm_label(ket: BasisKet, arm: str) -> PathLabel:
@@ -83,42 +85,33 @@ def apply_bs(sv: StateVector, arm: str, in_pair: Tuple[PathLabel, PathLabel],
     return sv.apply_ket_map(bs_ket_map(sv.backend, arm, in_pair, out_pair))
 
 
-def relabel_ket_map(backend: str, arm: str,
-                    mapping: Dict[PathLabel, PathLabel]):
-    """Injective renaming of path labels on one arm (a removed BS).
-
-    Memoized like ``bs_ket_map``, on the mapping's items.
-    """
-    return _relabel_ket_map(backend, arm, tuple(mapping.items()))
-
-
 @functools.cache
-def _relabel_ket_map(backend: str, arm: str,
-                     items: Tuple[Tuple[PathLabel, PathLabel], ...]):
-    mapping = dict(items)
-    targets = list(mapping.values())
-    if len(set(targets)) != len(targets):
-        raise ModeAliasingError("relabel map is not injective")
+def relabel_ket_map(backend: str, arm: str):
+    """The removed second beam splitter on one arm: u -> c, v -> d.
+
+    Memoized like ``bs_ket_map``. A live c or d on the arm would collide
+    with a relabeled path, so that ket raises ModeAliasingError.
+    """
     one = amp.backend(backend).one
 
     def image(ket: BasisKet):
         if ket.is_absorbed:
             return ((ket, one),)
         label = _arm_label(ket, arm)
-        if label not in mapping and label in targets:
+        if label in _REMOVED_BS2.values():
             raise ModeAliasingError(
                 f"mode aliasing: live label {label} collides with a relabel target")
-        return ((_with_arm_label(ket, arm, mapping.get(label, label)), one),)
+        return ((_with_arm_label(ket, arm, _REMOVED_BS2.get(label, label)), one),)
 
     return _KetImages(image).__getitem__
 
 
-def apply_bs1_pair(sv: StateVector) -> StateVector:
-    """Send |S+>|S-> through both first beam splitters (S -> v, u per arm)."""
-    expected = {BasisKet(PathLabel.S, PathLabel.S)}
-    if set(sv.amps) != expected:
-        raise SimulationError("apply_bs1_pair expects the bare source state")
-    out = apply_bs(sv, PLUS, (PathLabel.S, PathLabel.S),
-                   (PathLabel.v, PathLabel.u))
-    return apply_bs(out, MINUS, (PathLabel.S, PathLabel.S),
-                    (PathLabel.v, PathLabel.u))
+def apply_bs1_pair(backend: str = EXACT) -> StateVector:
+    """The source |S+>|S-> sent through both first beam splitters
+    (S -> v, u per arm)."""
+    sv = StateVector({BasisKet(PathLabel.S, PathLabel.S): amp.backend(backend).one},
+                     backend)
+    for arm in (PLUS, MINUS):
+        sv = apply_bs(sv, arm, (PathLabel.S, PathLabel.S),
+                      (PathLabel.v, PathLabel.u))
+    return sv

@@ -119,13 +119,6 @@ class StateVector:
         return f"StateVector({self.backend}, {{{self.dump()}}})"
 
 
-def make_input(backend: str = EXACT) -> StateVector:
-    """The source state |S+>|S->, one particle entering each interferometer."""
-    backend = amp.backend(backend)
-    return StateVector({BasisKet(PathLabel.S, PathLabel.S): backend.one},
-                       backend)
-
-
 class DensityMatrix:
     """Hermitian finite map (BasisKet, BasisKet) -> amplitude."""
 

@@ -14,8 +14,7 @@ from hardysim.lhv import ConstraintSet, audit, quantum_constraints
 from hardysim.measurement import (annihilation_channel, apply_channel,
                                   project_knowledge)
 from hardysim.optics import MINUS, apply_bs, apply_bs1_pair
-from hardysim.state import (BasisKet, DensityMatrix, PathLabel,
-                            make_input, pure_to_density)
+from hardysim.state import BasisKet, DensityMatrix, PathLabel, pure_to_density
 from test_state import density_times, no_photon_entries, random_state
 
 S, u, v, c, d = PathLabel
@@ -41,7 +40,7 @@ def criterion(number, description):
 
 @criterion(1, "input through both first beam splitters, exact amplitudes")
 def test_criterion_1():
-    out = apply_bs1_pair(make_input())
+    out = apply_bs1_pair()
     half = ExactScalar(Fraction(1, 2))
     assert out.amps == {
         ket(v, v): half,
@@ -53,7 +52,7 @@ def test_criterion_1():
 
 @criterion(2, "knowledge projection: relative amplitudes {1,i,i}, survival 3/4")
 def test_criterion_2():
-    sv = apply_bs1_pair(make_input())
+    sv = apply_bs1_pair()
     projected, survival = project_knowledge(sv, annihilation_channel(Fraction(1)))
     assert survival == Fraction(3, 4)
     base = projected.amps[ket(v, v)]
@@ -96,7 +95,7 @@ def test_criterion_4():
 
 @criterion(5, "channel consistency: p=1 factorization, p=0 limit, traces, mixing")
 def test_criterion_5():
-    sv = apply_bs1_pair(make_input())
+    sv = apply_bs1_pair()
     rho = pure_to_density(sv)
     # p=1: density path equals pure path, exact density equality
     out = apply_channel(rho, annihilation_channel(Fraction(1)))
@@ -110,7 +109,7 @@ def test_criterion_5():
     for p in (Fraction(0), Fraction(1, 2), Fraction(1)):
         out_p = apply_channel(rho, annihilation_channel(p))
         assert out_p.diagonal_probability(lambda k: True) == 1
-    sv_f = apply_bs1_pair(make_input(FLOAT))
+    sv_f = apply_bs1_pair(FLOAT)
     out_f = apply_channel(pure_to_density(sv_f),
                           annihilation_channel(Fraction(1, 4), FLOAT))
     assert abs(out_f.diagonal_probability(lambda k: True) - 1.0) <= 1e-12

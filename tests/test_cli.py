@@ -406,7 +406,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 class TestGolden:
-    @pytest.mark.parametrize("command", ["table", "lhv-audit"])
+    @pytest.mark.parametrize("command", ["table", "lhv-audit", "hom"])
     def test_stdout_matches_the_golden_file(self, command, capsys):
         # golden/<command>.txt is the expected stdout, byte for byte; CI
         # diffs `python -m hardysim.cli <command>` against the same file

@@ -9,9 +9,11 @@ from hardysim import amplitude, optics
 from hardysim.amplitude import EXACT, FLOAT, I, ONE
 from hardysim.errors import ConfigError, SimulationError
 from hardysim.hardy import OutcomeTable, ScenarioConfig, full_table, run_scenario
-from hardysim.measurement import annihilation_channel, apply_channel
+from hardysim.measurement import (annihilation_channel, apply_channel,
+                                  check_reaction_prob)
 from hardysim.state import (BasisKet, DensityMatrix, PathLabel, StateVector,
                             pure_to_density)
+from test_errors import deep_list
 from test_measurement import UnreadableReal
 from test_state import density_times, eq6_state, no_photon_entries, scaled
 
@@ -161,8 +163,7 @@ class TestDensityCrossCheck:
     def test_pure_path_matches_density_path_at_p_one(self):
         from hardysim.hardy import _bs2_stage
         from hardysim.optics import apply_bs1_pair
-        from hardysim.state import make_input
-        sv = apply_bs1_pair(make_input())
+        sv = apply_bs1_pair()
         rho = apply_channel(pure_to_density(sv), annihilation_channel(Fraction(1)))
         for bs2_plus in (False, True):
             for bs2_minus in (False, True):
@@ -304,6 +305,21 @@ class TestFuzz:
             return
         assert sorted(tables) == ["II", "IO", "OI", "OO"]
 
+    @pytest.mark.parametrize("call", [
+        lambda: ScenarioConfig(10**5000, True),
+        lambda: ScenarioConfig(True, True, 1, 10**5000),
+        lambda: check_reaction_prob([10**5000]),
+        lambda: ScenarioConfig(deep_list(), True),
+        lambda: ScenarioConfig(True, True, 1, deep_list()),
+        lambda: full_table(deep_list()),
+        lambda: full_table(1, deep_list()),
+    ], ids=["huge-flag", "huge-backend", "huge-int-in-p", "deep-flag",
+            "deep-backend", "deep-table-p", "deep-table-backend"])
+    def test_values_without_text_are_refused(self, call):
+        with pytest.raises(ConfigError) as info:
+            call()
+        assert len(str(info.value)) < 300
+
 
 class TestOutcomeTable:
     def test_repr_names_every_field(self):
@@ -341,7 +357,7 @@ class TestWorkBudget:
 
     def test_exact_sweep_constructions_per_scenario(self, monkeypatch):
         optics.bs_ket_map.cache_clear()
-        optics._relabel_ket_map.cache_clear()
+        optics.relabel_ket_map.cache_clear()
         made = 0
         new_scalar = amplitude._new_scalar
 

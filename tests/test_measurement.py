@@ -13,7 +13,7 @@ from hardysim.measurement import (DOOMED, AnnihilationChannel,
                                   project_knowledge)
 from hardysim.optics import apply_bs1_pair
 from hardysim.state import (ABSORBED, BasisKet, DensityMatrix, PathLabel,
-                            StateVector, make_input, pure_to_density)
+                            StateVector, pure_to_density)
 from test_state import (density_times, eq3_state, eq6_state, no_photon_entries,
                         scaled)
 
@@ -87,7 +87,7 @@ class TestProjectKnowledge:
 
     @pytest.mark.parametrize("backend", [EXACT, FLOAT])
     def test_p_zero_returns_the_input(self, backend):
-        sv = apply_bs1_pair(make_input(backend))
+        sv = apply_bs1_pair(backend)
         kept, survival = project_knowledge(
             sv, annihilation_channel(Fraction(0), backend))
         assert survival == 1
@@ -201,7 +201,7 @@ class TestApplyChannel:
         assert out.diagonal_probability(lambda k: True) == 1
 
     def test_trace_preserved_float_quarter(self):
-        sv = apply_bs1_pair(make_input(FLOAT))
+        sv = apply_bs1_pair(FLOAT)
         out = apply_channel(pure_to_density(sv),
                             annihilation_channel(Fraction(1, 4), FLOAT))
         assert abs(out.diagonal_probability(lambda k: True) - 1.0) <= 1e-12

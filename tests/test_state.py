@@ -12,7 +12,7 @@ from hardysim.errors import (EmptyStateError, NonHermitianError,
 from hardysim.measurement import annihilation_channel, apply_channel
 from hardysim.optics import apply_bs1_pair
 from hardysim.state import (ABSORBED, BasisKet, DensityMatrix, PathLabel,
-                            StateVector, make_input, pure_to_density)
+                            StateVector, pure_to_density)
 
 S, u, v, c, d = PathLabel
 
@@ -71,7 +71,7 @@ def test_unknown_backend_raises(name):
     with pytest.raises(SimulationError):
         DensityMatrix({(ket(u, u), ket(u, u)): ExactScalar(1)}, name)
     with pytest.raises(SimulationError):
-        make_input(name)
+        apply_bs1_pair(name)
 
 
 class TestBasisKet:
@@ -92,20 +92,6 @@ class TestBasisKet:
     def test_fields_cannot_be_set(self, field):
         with pytest.raises(AttributeError):
             setattr(ket(u, v), field, c)
-
-
-class TestMakeInput:
-    def test_support(self):
-        sv = make_input()
-        assert set(sv.amps) == {ket(S, S)}
-        assert sv.amps[ket(S, S)] == ONE
-
-    def test_norm(self):
-        assert make_input().norm_sq() == 1
-
-    def test_probability_at_source(self):
-        assert make_input().probability(
-            lambda k: not k.is_absorbed and k.plus == S) == 1
 
 
 class TestProbability:
@@ -148,7 +134,7 @@ class TestProbability:
 
 class TestDensity:
     def test_pure_source(self):
-        rho = pure_to_density(make_input())
+        rho = pure_to_density(StateVector({ket(S, S): ONE}))
         assert rho.entries == {(ket(S, S), ket(S, S)): ONE}
 
     def test_eq6_diagonal_thirds(self):
@@ -171,7 +157,7 @@ class TestDensity:
         assert rho.purity() == Fraction(1, 2)
 
     def test_kraus_output_at_half_is_mixed(self):
-        rho = pure_to_density(apply_bs1_pair(make_input()))
+        rho = pure_to_density(apply_bs1_pair())
         out = apply_channel(rho, annihilation_channel(Fraction(1, 2)))
         assert out.purity() < 1
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 2 usage errors and ConfigError: an unreadable or
 malformed config, unknown or doubled fields, oversized reaction-probability
-text and unwritable exports here, and any field value ScenarioConfig refuses;
+text, unwritable exports and an unwritable stdout here, and any field value
+ScenarioConfig refuses;
 3 any other SimulationError (e.g. reaction probability outside [0, 1]).
 """
 
@@ -240,10 +241,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_DOMAIN
+        try:
+            status = args.func(args)
+        except SimulationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            status = EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_DOMAIN
+        sys.stdout.flush()
+        return status
+    except OSError as exc:
+        # send what stdout still buffers to devnull, or the exit flush fails
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

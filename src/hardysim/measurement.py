@@ -100,7 +100,6 @@ def project_knowledge(sv: StateVector,
 def apply_channel(rho: DensityMatrix, ch: AnnihilationChannel) -> DensityMatrix:
     """rho -> K_pass rho K_pass^dagger + K_abs rho K_abs^dagger. K_abs has one
     image, c |sink> of DOOMED, so it adds rho(DOOMED, DOOMED) |c|^2 to the sink."""
-    rho._check_hermitian()
     entries = dict(rho.apply_ket_map(ch.pass_map()).entries)
     doomed = rho.entries.get((DOOMED, DOOMED))
     [(sink, c)] = ch.absorb_map()(DOOMED)

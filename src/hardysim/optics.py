@@ -31,30 +31,13 @@ def _with_arm_label(ket: BasisKet, arm: str, label: PathLabel) -> BasisKet:
     return BasisKet(ket.plus, label)
 
 
-class _KetImages(dict):
-    """ket -> its image, a tuple of (ket, coefficient), worked out once.
-
-    An image that raises is not stored, so that ket raises on every lookup.
-    """
-
-    __slots__ = ("_image",)
-
-    def __init__(self, image):
-        super().__init__()
-        self._image = image
-
-    def __missing__(self, ket: BasisKet):
-        images = self[ket] = self._image(ket)
-        return images
-
-
 @functools.cache
 def bs_ket_map(backend: str, arm: str, in_pair: Tuple[PathLabel, PathLabel],
                out_pair: Tuple[PathLabel, PathLabel]):
     """Linear ket map of one beam splitter; absorbed kets pass through.
 
-    Memoized per (backend, element): every call with equal arguments
-    returns the same map, and each ket's image is built on first lookup.
+    Memoized per (backend, element) and per ket (functools.cache): an
+    image that raises is not stored, so that ket raises on every lookup.
     """
     backend = amp.backend(backend)
     one = backend.one
@@ -76,7 +59,7 @@ def bs_ket_map(backend: str, arm: str, in_pair: Tuple[PathLabel, PathLabel],
                 f"mode aliasing: live label {label} collides with output pair")
         return ((ket, one),)
 
-    return _KetImages(image).__getitem__
+    return functools.cache(image)
 
 
 def apply_bs(sv: StateVector, arm: str, in_pair: Tuple[PathLabel, PathLabel],
@@ -103,7 +86,7 @@ def relabel_ket_map(backend: str, arm: str):
                 f"mode aliasing: live label {label} collides with a relabel target")
         return ((_with_arm_label(ket, arm, _REMOVED_BS2.get(label, label)), one),)
 
-    return _KetImages(image).__getitem__
+    return functools.cache(image)
 
 
 def apply_bs1_pair(backend: str = EXACT) -> StateVector:

@@ -120,7 +120,9 @@ class StateVector:
 
 
 class DensityMatrix:
-    """Hermitian finite map (BasisKet, BasisKet) -> amplitude."""
+    """Hermitian finite map (BasisKet, BasisKet) -> amplitude. check=True is the
+    Hermiticity gate for a matrix built outside the library; the library's own
+    builders make Hermitian matrices by construction and pass check=False."""
 
     def __init__(self, entries: Dict[Tuple[BasisKet, BasisKet], object],
                  backend: str = EXACT, check: bool = True):

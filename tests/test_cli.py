@@ -450,6 +450,39 @@ class TestImport:
         assert out.stdout.strip() == "[]"
 
 
+class TestUnwritableStdout:
+    """A report whose stdout cannot be written ends in one error line and
+    exit 2, with no traceback, also not from the interpreter's exit flush."""
+
+    def run(self, command, stdout):
+        src = os.path.dirname(os.path.dirname(hardysim.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-m", "hardysim.cli", command],
+                             stdout=stdout, stderr=subprocess.PIPE, env=env,
+                             text=True, timeout=60)
+        assert out.returncode == 2
+        [line] = out.stderr.splitlines()
+        assert line.startswith("error: cannot write stdout: ")
+        assert "Traceback" not in out.stderr
+        assert "Exception ignored" not in out.stderr
+
+    @pytest.mark.parametrize("command", ["table", "lhv-audit", "hom"])
+    def test_pipe_whose_reader_is_gone(self, command):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            self.run(command, write)
+        finally:
+            os.close(write)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["table", "lhv-audit", "hom"])
+    def test_full_device(self, command):
+        with open("/dev/full", "w") as full:
+            self.run(command, full)
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda children: st.lists(children, max_size=3)

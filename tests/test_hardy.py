@@ -1,11 +1,12 @@
 """Scenario orchestration over the four second-beam-splitter layouts."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardysim import amplitude, optics
+from hardysim import amplitude, hardy, measurement, optics
 from hardysim.amplitude import EXACT, FLOAT, I, ONE
 from hardysim.errors import ConfigError, SimulationError
 from hardysim.hardy import OutcomeTable, ScenarioConfig, full_table, run_scenario
@@ -344,16 +345,18 @@ class TestWorkBudget:
     and sqrt(1-p) lie in Q(sqrt2). Multiplying by 1 and conjugating a real
     value build nothing, which brought the mean from 346.75 to 196.06. The
     channel's absorb term is read off rho(DOOMED, DOOMED) alone, not built
-    for every entry and discarded, which took it from 193.28 to 190.94. Every
-    scalar, reduced by a gcd or a sign flip that needs none, is allocated
-    through ``amplitude._new_scalar``, so that is where they are counted.
+    for every entry and discarded, which took it from 193.28 to 190.94. The
+    channel no longer re-reads its input for Hermiticity, which took the mean
+    from 190.94 to 184.72. Every scalar, reduced by a gcd or a sign flip that
+    needs none, is allocated through ``amplitude._new_scalar``, so that is
+    where they are counted.
     The memoized optical ket maps are emptied first, so the count includes
     building them and does not depend on which tests ran before.
     """
 
     PS = [Fraction(p) for p in ("0", "1", "1/2", "9/25", "16/25", "1/9",
                                 "8/9", "1/50", "49/50")]
-    BUDGET = 191
+    BUDGET = 185
 
     def test_exact_sweep_constructions_per_scenario(self, monkeypatch):
         optics.bs_ket_map.cache_clear()
@@ -373,3 +376,39 @@ class TestWorkBudget:
         for cfg in scenarios:
             run_scenario(cfg)
         assert made / len(scenarios) <= self.BUDGET
+
+
+class TestHermitianByConstruction:
+    """Every density matrix run_scenario builds passes the constructor's
+    Hermiticity check, which the library's own builders skip: the state's
+    pure_to_density, the channel's output and the final matrix, for the 4
+    layouts at interior p on both backends."""
+
+    EXACT_PS = [Fraction(p) for p in ("1/2", "9/25", "16/25", "1/9", "8/9",
+                                      "1/50", "49/50")]
+    FLOAT_PS = [k / 1000 for k in random.Random(18).sample(range(1, 1000), 8)]
+
+    @pytest.mark.parametrize("backend, p",
+                             [(EXACT, p) for p in EXACT_PS]
+                             + [(FLOAT, p) for p in FLOAT_PS])
+    def test_every_matrix_passes_the_check(self, monkeypatch, backend, p):
+        made = []
+
+        def kept(fn):
+            def wrapper(*args):
+                made.append(fn(*args))
+                return made[-1]
+            return wrapper
+
+        monkeypatch.setattr(hardy, "pure_to_density",
+                            kept(hardy.pure_to_density))
+        monkeypatch.setattr(measurement, "apply_channel",
+                            kept(measurement.apply_channel))
+        for plus in (False, True):
+            for minus in (False, True):
+                final, _ = run_scenario(ScenarioConfig(plus, minus, p, backend))
+                made.append(final)
+        assert len(made) == 12
+        for rho in made:
+            assert isinstance(rho, DensityMatrix)
+            DensityMatrix(rho.entries, rho.backend)

@@ -192,15 +192,6 @@ class ExactScalar:
             raise UnrepresentableError(f"{self} has a nonzero imaginary part")
         return z.real
 
-    def to_string(self) -> str:
-        """Canonical form "q0 + q1*i + q2*r2 + q3*i*r2", zero terms omitted."""
-        parts = []
-        for coeff, tag in ((self.q0, ""), (self.q1, "*i"),
-                           (self.q2, "*r2"), (self.q3, "*i*r2")):
-            if coeff:
-                parts.append(f"{coeff}{tag}")
-        return " + ".join(parts) if parts else "0"
-
     @classmethod
     def from_string(cls, text: str) -> "ExactScalar":
         coeffs = {"": Fraction(0), "*i": Fraction(0),
@@ -216,7 +207,13 @@ class ExactScalar:
         return cls(coeffs[""], coeffs["*i"], coeffs["*r2"], coeffs["*i*r2"])
 
     def __str__(self) -> str:
-        return self.to_string()
+        """Canonical form "q0 + q1*i + q2*r2 + q3*i*r2", zero terms omitted."""
+        parts = []
+        for coeff, tag in ((self.q0, ""), (self.q1, "*i"),
+                           (self.q2, "*r2"), (self.q3, "*i*r2")):
+            if coeff:
+                parts.append(f"{coeff}{tag}")
+        return " + ".join(parts) if parts else "0"
 
 
 _ZERO_INTS = (0, 0, 0, 0, 1)

@@ -21,11 +21,9 @@ from typing import Iterable
 from . import amplitude as amp
 from . import optics
 from .amplitude import EXACT
-from .state import BasisKet, PathLabel, StateVector
+from .state import BasisKet, StateVector
 
-_IN = (PathLabel.u, PathLabel.v)
-_OUT = (PathLabel.c, PathLabel.d)
-_UV, _VU = BasisKet(*_IN), BasisKet(*_IN[::-1])
+_UV, _VU = BasisKet(*optics.BS2_IN), BasisKet(*optics.BS2_IN[::-1])
 
 
 def splitter_output(kets: Iterable[BasisKet],
@@ -34,8 +32,8 @@ def splitter_output(kets: Iterable[BasisKet],
     beam splitter (u, v -> c, d) on both arms."""
     backend = amp.backend(backend)
     sv = StateVector({k: backend.one for k in kets}, backend)
-    sv = optics.apply_bs(sv, optics.PLUS, _IN, _OUT)
-    return optics.apply_bs(sv, optics.MINUS, _IN, _OUT)
+    sv = optics.apply_bs(sv, optics.PLUS, optics.BS2_IN, optics.BS2_OUT)
+    return optics.apply_bs(sv, optics.MINUS, optics.BS2_IN, optics.BS2_OUT)
 
 
 def _coincidence(ket: BasisKet) -> bool:

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success; 2 usage errors and ConfigError: an unreadable or
 malformed config, unknown or doubled fields, oversized reaction-probability
-text, unwritable exports and an unwritable stdout here, and any field value
-ScenarioConfig refuses;
+text, unwritable exports and an unwritable stdout here (help text included),
+and any field value ScenarioConfig refuses;
 3 any other SimulationError (e.g. reaction probability outside [0, 1]).
 """
 
@@ -213,8 +213,16 @@ def cmd_hom(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but help text that stdout cannot take raises OSError
+    instead of being dropped with exit 0."""
+
+    def print_help(self, file=None):
+        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hardysim",
         description="Exact simulator of the two-interferometer annihilation "
                     "thought experiment")
@@ -238,9 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         try:
             status = args.func(args)
         except SimulationError as exc:

@@ -38,7 +38,8 @@ class EmptyStateError(SimulationError):
 
 
 class ModeAliasingError(SimulationError):
-    """A beam-splitter output label collides with a live mode label."""
+    """An optical element met a live label that it writes but does not read,
+    so the image would merge with that mode."""
 
 
 class NonHermitianError(SimulationError):

@@ -90,19 +90,14 @@ class OutcomeTable:
         return OutcomeTable(rows, self.gamma_prob, True, self.config)
 
 
-_UV = (PathLabel.u, PathLabel.v)
-_CD = (PathLabel.c, PathLabel.d)
-
-
 def _bs2_stage(obj, present_plus: bool, present_minus: bool):
     """Second beam splitters (or relabelings) on a state or density matrix."""
     backend = obj.backend
     for arm, present in ((optics.PLUS, present_plus),
                          (optics.MINUS, present_minus)):
-        if present:
-            obj = obj.apply_ket_map(optics.bs_ket_map(backend, arm, _UV, _CD))
-        else:
-            obj = obj.apply_ket_map(optics.relabel_ket_map(backend, arm))
+        ket_map = (optics.bs_ket_map(backend, arm, optics.BS2_IN, optics.BS2_OUT)
+                   if present else optics.relabel_ket_map(backend, arm))
+        obj = obj.apply_ket_map(ket_map)
     return obj
 
 

@@ -3,7 +3,10 @@
 Phase convention: transmission keeps the amplitude, reflection picks up i,
 so the first input goes to (first_out + i*second_out)/sqrt2 and the second
 to (i*first_out + second_out)/sqrt2. A removed second beam splitter is a
-pure relabeling of internal paths onto detector ports.
+pure relabeling of internal paths onto detector ports. Each element reads
+some labels of its arm and passes absorbed kets and all other labels
+through; a live label it writes but does not read would merge with an
+image, so that ket raises ModeAliasingError.
 """
 
 from __future__ import annotations
@@ -18,48 +21,46 @@ from .state import BasisKet, PathLabel, StateVector
 
 PLUS = "plus"
 MINUS = "minus"
-_REMOVED_BS2 = {PathLabel.u: PathLabel.c, PathLabel.v: PathLabel.d}
+BS2_IN = (PathLabel.u, PathLabel.v)   # the second beam splitter's inputs
+BS2_OUT = (PathLabel.c, PathLabel.d)  # and the detector ports they meet
 
 
-def _arm_label(ket: BasisKet, arm: str) -> PathLabel:
-    return ket.plus if arm == PLUS else ket.minus
+def _arm_ket_map(backend, arm: str, table):
+    """The ket map of one element on one arm, from its table
+    label -> ((out label, coefficient), ...). Memoized per ket
+    (functools.cache): an image that raises is not stored, so that ket
+    raises on every lookup."""
+    one = backend.one
+    targets = {out for images in table.values() for out, _ in images}
 
+    def image(ket: BasisKet):
+        if ket.is_absorbed:
+            return ((ket, one),)
+        label = ket.plus if arm == PLUS else ket.minus
+        images = table.get(label)
+        if images is None:
+            if label in targets:
+                raise ModeAliasingError(f"mode aliasing: live label {label} "
+                                        f"is an output of this element")
+            return ((ket, one),)
+        if arm == PLUS:
+            return tuple((BasisKet(out, ket.minus), x) for out, x in images)
+        return tuple((BasisKet(ket.plus, out), x) for out, x in images)
 
-def _with_arm_label(ket: BasisKet, arm: str, label: PathLabel) -> BasisKet:
-    if arm == PLUS:
-        return BasisKet(label, ket.minus)
-    return BasisKet(ket.plus, label)
+    return functools.cache(image)
 
 
 @functools.cache
 def bs_ket_map(backend: str, arm: str, in_pair: Tuple[PathLabel, PathLabel],
                out_pair: Tuple[PathLabel, PathLabel]):
-    """Linear ket map of one beam splitter; absorbed kets pass through.
-
-    Memoized per (backend, element) and per ket (functools.cache): an
-    image that raises is not stored, so that ket raises on every lookup.
-    """
+    """Linear ket map of one beam splitter, memoized per (backend, element)."""
     backend = amp.backend(backend)
-    one = backend.one
     s = backend.inv_sqrt2
     i_s = backend.i * s
-
-    def image(ket: BasisKet):
-        if ket.is_absorbed:
-            return ((ket, one),)
-        label = _arm_label(ket, arm)
-        if label == in_pair[0]:
-            return ((_with_arm_label(ket, arm, out_pair[0]), s),
-                    (_with_arm_label(ket, arm, out_pair[1]), i_s))
-        if label == in_pair[1]:
-            return ((_with_arm_label(ket, arm, out_pair[0]), i_s),
-                    (_with_arm_label(ket, arm, out_pair[1]), s))
-        if label in out_pair:
-            raise ModeAliasingError(
-                f"mode aliasing: live label {label} collides with output pair")
-        return ((ket, one),)
-
-    return functools.cache(image)
+    first, second = out_pair
+    # in_pair[0] comes last, so it wins where both inputs are one port (BS1)
+    return _arm_ket_map(backend, arm, {in_pair[1]: ((first, i_s), (second, s)),
+                                       in_pair[0]: ((first, s), (second, i_s))})
 
 
 def apply_bs(sv: StateVector, arm: str, in_pair: Tuple[PathLabel, PathLabel],
@@ -70,23 +71,11 @@ def apply_bs(sv: StateVector, arm: str, in_pair: Tuple[PathLabel, PathLabel],
 
 @functools.cache
 def relabel_ket_map(backend: str, arm: str):
-    """The removed second beam splitter on one arm: u -> c, v -> d.
-
-    Memoized like ``bs_ket_map``. A live c or d on the arm would collide
-    with a relabeled path, so that ket raises ModeAliasingError.
-    """
-    one = amp.backend(backend).one
-
-    def image(ket: BasisKet):
-        if ket.is_absorbed:
-            return ((ket, one),)
-        label = _arm_label(ket, arm)
-        if label in _REMOVED_BS2.values():
-            raise ModeAliasingError(
-                f"mode aliasing: live label {label} collides with a relabel target")
-        return ((_with_arm_label(ket, arm, _REMOVED_BS2.get(label, label)), one),)
-
-    return functools.cache(image)
+    """The removed second beam splitter on one arm (u -> c, v -> d),
+    memoized like ``bs_ket_map``."""
+    backend = amp.backend(backend)
+    return _arm_ket_map(backend, arm, {label: ((out, backend.one),)
+                                       for label, out in zip(BS2_IN, BS2_OUT)})
 
 
 def apply_bs1_pair(backend: str = EXACT) -> StateVector:

@@ -124,12 +124,12 @@ class TestSerialization:
          "1/2 + -3*i + 2/7*i*r2"),
     ])
     def test_canonical_text(self, value, text):
-        assert value.to_string() == text
+        assert str(value) == text
         assert ExactScalar.from_string(text) == value
 
     @given(scalars)
     def test_round_trip(self, x):
-        assert ExactScalar.from_string(x.to_string()) == x
+        assert ExactScalar.from_string(str(x)) == x
 
     def test_malformed(self):
         with pytest.raises(ValueError):

@@ -450,37 +450,53 @@ class TestImport:
         assert out.stdout.strip() == "[]"
 
 
-class TestUnwritableStdout:
-    """A report whose stdout cannot be written ends in one error line and
-    exit 2, with no traceback, also not from the interpreter's exit flush."""
+def run_cli(args, stdout):
+    src = os.path.dirname(os.path.dirname(hardysim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "hardysim.cli", *args],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          text=True, timeout=60)
 
-    def run(self, command, stdout):
-        src = os.path.dirname(os.path.dirname(hardysim.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-m", "hardysim.cli", command],
-                             stdout=stdout, stderr=subprocess.PIPE, env=env,
-                             text=True, timeout=60)
+
+HELP = [["--help"], ["run", "--help"]]
+REPORTS = [["table"], ["lhv-audit"], ["hom"]]
+
+
+class TestUnwritableStdout:
+    """A report or help text whose stdout cannot be written ends in one
+    error line and exit 2, with no traceback, also not from the
+    interpreter's exit flush."""
+
+    def run(self, args, stdout):
+        out = run_cli(args, stdout)
         assert out.returncode == 2
         [line] = out.stderr.splitlines()
         assert line.startswith("error: cannot write stdout: ")
         assert "Traceback" not in out.stderr
         assert "Exception ignored" not in out.stderr
 
-    @pytest.mark.parametrize("command", ["table", "lhv-audit", "hom"])
-    def test_pipe_whose_reader_is_gone(self, command):
+    @pytest.mark.parametrize("args", REPORTS + HELP, ids=" ".join)
+    def test_pipe_whose_reader_is_gone(self, args):
         read, write = os.pipe()
         os.close(read)
         try:
-            self.run(command, write)
+            self.run(args, write)
         finally:
             os.close(write)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")
-    @pytest.mark.parametrize("command", ["table", "lhv-audit", "hom"])
-    def test_full_device(self, command):
+    @pytest.mark.parametrize("args", REPORTS + HELP, ids=" ".join)
+    def test_full_device(self, args):
         with open("/dev/full", "w") as full:
-            self.run(command, full)
+            self.run(args, full)
+
+    @pytest.mark.parametrize("args", HELP, ids=" ".join)
+    def test_help_to_a_writable_stdout(self, args):
+        out = run_cli(args, subprocess.PIPE)
+        assert out.returncode == 0
+        assert out.stdout.startswith("usage: hardysim")
+        assert out.stderr == ""
 
 
 json_values = st.recursive(

@@ -158,6 +158,53 @@ class TestMemoizedKetMaps:
         assert ket_map(ket(v, S)) is ket_map(ket(v, S))
 
 
+# Every element's image of one ket, written out by hand, by the label on
+# the element's arm: (out label, coefficient) pairs with "t" = 1/sqrt2
+# (transmitted) and "r" = i/sqrt2 (reflected), or None where the element
+# refuses the ket. The other arm's label is untouched.
+IMAGES = {
+    "bs1": {S: [(v, "t"), (u, "r")], u: None, v: None,
+            c: [(c, "1")], d: [(d, "1")], ABSORBED: [(ABSORBED, "1")]},
+    "bs2": {S: [(S, "1")], u: [(c, "t"), (d, "r")], v: [(c, "r"), (d, "t")],
+            c: None, d: None, ABSORBED: [(ABSORBED, "1")]},
+    "relabel": {S: [(S, "1")], u: [(c, "1")], v: [(d, "1")],
+                c: None, d: None, ABSORBED: [(ABSORBED, "1")]},
+}
+ELEMENTS = {
+    "bs1": lambda backend, arm: bs_ket_map(backend, arm, (S, S), (v, u)),
+    "bs2": lambda backend, arm: bs_ket_map(backend, arm, (u, v), (c, d)),
+    "relabel": relabel_ket_map,
+}
+COEFFICIENTS = {"exact": {"1": ONE, "t": INV_SQRT2, "r": I * INV_SQRT2},
+                "float": {"1": 1, "t": 0.5 ** 0.5, "r": 1j * 0.5 ** 0.5}}
+
+
+class TestEveryImage:
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    @pytest.mark.parametrize("arm", [PLUS, MINUS])
+    @pytest.mark.parametrize("element, label", [
+        (element, label) for element, row in IMAGES.items() for label in row],
+        ids=str)
+    def test_image(self, element, label, arm, backend):
+        ket_map = ELEMENTS[element](backend, arm)
+        expected = IMAGES[element][label]
+        for other in PathLabel:
+            def place(lbl):
+                if lbl is ABSORBED:
+                    return ABSORBED
+                return ket(lbl, other) if arm == PLUS else ket(other, lbl)
+
+            if expected is None:
+                with pytest.raises(ModeAliasingError):
+                    ket_map(place(label))
+                continue
+            got = list(ket_map(place(label)))
+            assert [k for k, _ in got] == [place(out) for out, _ in expected]
+            want = [COEFFICIENTS[backend][x] for _, x in expected]
+            assert [x for _, x in got] == (
+                want if backend == "exact" else pytest.approx(want))
+
+
 class TestApplyBs1Pair:
     def test_eq3_amplitudes(self):
         out = apply_bs1_pair()

@@ -62,17 +62,20 @@ class ConstraintSet(NamedTuple):
 
 
 def quantum_constraints(tables: Dict[str, hardy.OutcomeTable]) -> ConstraintSet:
-    """Read the Hardy chain off exact conditional coincidence tables.
+    """Read the Hardy chain off exact coincidence tables.
 
-    The zero events are the cells exactly 0, in KEY order and then sorted
-    cell order. The positive event is the first nonzero cell that no
-    strategy surviving those zero events produces, or None. Missing layouts
-    and float tables are refused: a zero test on rounded values can give a
-    wrong zero set.
+    Each table is read conditioned on no photon (``OutcomeTable.conditioned``),
+    so ``run_scenario``'s unconditional tables and ``full_table``'s give the
+    same constraints. The zero events are the cells exactly 0, in KEY order
+    and then sorted cell order. The positive event is the first nonzero cell
+    that no strategy surviving those zero events produces, or None. Missing
+    layouts and float tables are refused: a zero test on rounded values can
+    give a wrong zero set.
     """
     for key in KEY.values():
         if key not in tables:
             raise SimulationError(f"the LHV constraints need layout {key}'s table")
+    tables = {key: tables[key].conditioned() for key in KEY.values()}
     cells = [(setting, outcome, tables[key].prob(*outcome))
              for setting, key in KEY.items()
              for outcome in sorted(tables[key].rows)]

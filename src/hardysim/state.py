@@ -156,18 +156,28 @@ class DensityMatrix:
         return amp.real_part(total)
 
     def apply_ket_map(self, ket_map: KetMap) -> "DensityMatrix":
-        """rho -> U rho U^dagger for U given as a linear ket map; each image
-        is read more than once, so it must be a tuple or list, not an iterator."""
-        out: Dict[Tuple[BasisKet, BasisKet], object] = {}
+        """rho -> U rho U^dagger for U given as a linear ket map, in two
+        one-sided passes: U on every entry's ket into (a2, b), then U* on
+        every bra of that into (a2, b2). ket_map(k) returns k's image as
+        (ket, amplitude) pairs; each image is read once, so an iterator will
+        do. It is called once per entry on the ket side and once per distinct
+        bra, whose conjugated image is then reused for every entry."""
+        half: Dict[Tuple[BasisKet, BasisKet], object] = {}
         for (a, b), val in self.entries.items():
-            bra = ket_map(b)
             for a2, ca in ket_map(a):
-                vca = val * ca
-                for b2, cb in bra:
-                    term = vca * cb.conjugate()
-                    key = (a2, b2)
-                    cur = out.get(key)
-                    out[key] = term if cur is None else cur + term
+                key, term = (a2, b), val * ca
+                cur = half.get(key)
+                half[key] = term if cur is None else cur + term
+        bras: Dict[BasisKet, list] = {}
+        out: Dict[Tuple[BasisKet, BasisKet], object] = {}
+        for (a2, b), val in half.items():
+            bra = bras.get(b)
+            if bra is None:
+                bra = bras[b] = [(b2, cb.conjugate()) for b2, cb in ket_map(b)]
+            for b2, cb in bra:
+                key, term = (a2, b2), val * cb
+                cur = out.get(key)
+                out[key] = term if cur is None else cur + term
         return DensityMatrix(out, self.backend, check=False)
 
     def __repr__(self) -> str:
@@ -179,8 +189,9 @@ def pure_to_density(sv: StateVector) -> DensityMatrix:
     if sv.is_zero():
         raise EmptyStateError("empty state")
     inv = sv.backend.one / sv.norm_sq()
+    bras = [(b, vb.conjugate() * inv) for b, vb in sv.amps.items()]
     entries = {}
     for a, va in sv.amps.items():
-        for b, vb in sv.amps.items():
-            entries[(a, b)] = va * vb.conjugate() * inv
+        for b, cb in bras:
+            entries[(a, b)] = va * cb
     return DensityMatrix(entries, sv.backend, check=False)

@@ -6,7 +6,7 @@ import pytest
 
 from hardysim.amplitude import FLOAT
 from hardysim.errors import SimulationError
-from hardysim.hardy import full_table
+from hardysim.hardy import ScenarioConfig, full_table, run_scenario
 from hardysim.lhv import (ConstraintSet, LocalStrategy, all_strategies, audit,
                           audit_report, quantum_constraints)
 
@@ -44,6 +44,17 @@ class TestQuantumConstraints:
         assert setting == ("in", "in")
         assert outcome == ("d", "d")
         assert prob == Fraction(1, 12) and type(prob) is Fraction
+
+    def test_unconditional_tables_give_the_conditional_constraints(self):
+        # run_scenario's tables keep the photon weight; read as they are, the
+        # positive event II (d, d) would be 1/16 instead of 1/12
+        tables = {}
+        for plus in (False, True):
+            for minus in (False, True):
+                cfg = ScenarioConfig(plus, minus)
+                tables[cfg.key] = run_scenario(cfg)[1]
+        assert not any(t.conditional for t in tables.values())
+        assert quantum_constraints(tables) == quantum_constraints(full_table())
 
     def test_float_tables_are_refused(self):
         with pytest.raises(SimulationError, match="exact tables"):

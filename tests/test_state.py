@@ -7,10 +7,11 @@ import pytest
 
 from hardysim import amplitude as amp
 from hardysim.amplitude import EXACT, ExactScalar, I, ONE, real_part
-from hardysim.errors import (EmptyStateError, NonHermitianError,
-                             SimulationError)
+from hardysim.errors import (EmptyStateError, ModeAliasingError,
+                             NonHermitianError, SimulationError)
 from hardysim.measurement import annihilation_channel, apply_channel
-from hardysim.optics import apply_bs1_pair
+from hardysim.optics import (BS2_IN, BS2_OUT, MINUS, PLUS, apply_bs1_pair,
+                             bs_ket_map, relabel_ket_map)
 from hardysim.state import (ABSORBED, BasisKet, DensityMatrix, PathLabel,
                             StateVector, pure_to_density)
 
@@ -193,6 +194,84 @@ class TestDensity:
     def test_float_all_zero_state_is_pruned_empty(self):
         # the cut is 0 when every value is 0; an exact 0j must still go
         assert StateVector({ket(u, u): 0j}, amp.FLOAT).is_zero()
+
+
+def dense_conjugation(rho, ket_map, basis):
+    """U rho U^dagger, entry by entry: sum over a, b of <a2|U|a> rho(a, b)
+    <b2|U|b>*, with U read column by column off ket_map over basis."""
+    columns = {}
+    for a in basis:
+        column = columns[a] = {}
+        for a2, x in ket_map(a):
+            column[a2] = column.get(a2, amp.ZERO) + x
+    images = sorted({a2 for column in columns.values() for a2 in column},
+                    key=BasisKet.sort_key)
+    out = {}
+    for a2 in images:
+        for b2 in images:
+            total = amp.ZERO
+            for a in basis:
+                for b in basis:
+                    total = total + (columns[a].get(a2, amp.ZERO)
+                                     * rho.entries.get((a, b), amp.ZERO)
+                                     * columns[b].get(b2, amp.ZERO).conjugate())
+            if total != amp.ZERO:
+                out[(a2, b2)] = total
+    return out
+
+
+def random_hermitian(rng, basis):
+    """An exact Hermitian matrix over basis with small random Q(i, sqrt2)
+    entries, about a third of them zero."""
+    def coeff():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+
+    entries = {}
+    for i, a in enumerate(basis):
+        for b in basis[i:]:
+            if rng.random() < 1 / 3:
+                continue
+            if a == b:
+                entries[(a, a)] = ExactScalar(coeff(), 0, coeff(), 0)
+            else:
+                x = ExactScalar(coeff(), coeff(), coeff(), coeff())
+                entries[(a, b)], entries[(b, a)] = x, x.conjugate()
+    return DensityMatrix(entries)
+
+
+class TestApplyKetMapOracle:
+    """DensityMatrix.apply_ket_map against a dense sum over U's matrix
+    elements, on seeded random exact Hermitian matrices over the kets that
+    reach the second splitters, {u, v} per arm, plus the photon sink."""
+
+    BASIS = [ket(a, b) for a in (u, v) for b in (u, v)] + [ABSORBED]
+    MAPS = {
+        "bs2-plus": bs_ket_map(EXACT, PLUS, BS2_IN, BS2_OUT),
+        "bs2-minus": bs_ket_map(EXACT, MINUS, BS2_IN, BS2_OUT),
+        "relabel-plus": relabel_ket_map(EXACT, PLUS),
+        "relabel-minus": relabel_ket_map(EXACT, MINUS),
+        "pass-half": annihilation_channel(Fraction(1, 2)).pass_map(),
+    }
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    def test_matches_the_dense_oracle(self, name, seed):
+        rho = random_hermitian(random.Random(f"{name}:{seed}"), self.BASIS)
+        ket_map = self.MAPS[name]
+        assert (rho.apply_ket_map(ket_map).entries
+                == dense_conjugation(rho, ket_map, self.BASIS))
+
+    @pytest.mark.parametrize("name", [n for n in MAPS if n != "pass-half"])
+    def test_an_aliasing_ket_still_raises(self, name):
+        # a live detector label on the element's own arm, as a ket of a
+        # diagonal entry and as the bra alone of an off-diagonal one
+        bad = ket(c, u) if name.endswith("plus") else ket(u, c)
+        good = ket(u, u)
+        for entries in ({(good, good): ONE, (bad, bad): ONE},
+                        {(good, bad): ONE}):
+            rho = DensityMatrix(entries, check=False)
+            with pytest.raises(ModeAliasingError):
+                rho.apply_ket_map(self.MAPS[name])
 
 
 class TestDump:

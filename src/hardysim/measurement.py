@@ -91,7 +91,7 @@ def project_knowledge(sv: StateVector,
     if sv.is_zero():
         raise EmptyStateError("empty state")
     kept = sv.apply_ket_map(ch.pass_map())
-    survival = sv.backend.ratio(kept._norm_sq, sv._norm_sq)
+    survival = sv.backend.ratio(kept._norm_sq(), sv._norm_sq())
     if survival == 0:
         raise AnnihilatedError("state annihilated with certainty")
     return kept, survival
@@ -99,8 +99,16 @@ def project_knowledge(sv: StateVector,
 
 def apply_channel(rho: DensityMatrix, ch: AnnihilationChannel) -> DensityMatrix:
     """rho -> K_pass rho K_pass^dagger + K_abs rho K_abs^dagger. K_abs has one
-    image, c |sink> of DOOMED, so it adds rho(DOOMED, DOOMED) |c|^2 to the sink."""
-    entries = dict(rho.apply_ket_map(ch.pass_map()).entries)
+    image, c |sink> of DOOMED, so it adds rho(DOOMED, DOOMED) |c|^2 to the sink.
+    K_pass is diagonal: it scales entry (a, b) by s(a) conj(s(b)), with each
+    distinct ket's factor s(k) read off pass_map once."""
+    pass_map = ch.pass_map()
+    ket_side, bra_side = {}, {}
+    for ket in {k for pair in rho.entries for k in pair}:
+        [(_, s)] = pass_map(ket)
+        ket_side[ket], bra_side[ket] = s, s.conjugate()
+    entries = {(a, b): (val * ket_side[a]) * bra_side[b]
+               for (a, b), val in rho.entries.items()}
     doomed = rho.entries.get((DOOMED, DOOMED))
     [(sink, c)] = ch.absorb_map()(DOOMED)
     if doomed is not None:

@@ -65,31 +65,29 @@ KetMap = Callable[[BasisKet], Iterable[Tuple[BasisKet, object]]]
 
 
 class StateVector:
-    """Finite map ket -> amplitude with a cached exact squared norm."""
+    """Finite map ket -> amplitude with an exact squared norm, summed on first
+    read and cached, so a state that is only passed on never sums it."""
 
     def __init__(self, amps: Dict[BasisKet, object], backend: str = EXACT):
         self.backend = amp.backend(backend)
         self.amps = self.backend.prune(amps)
-        total = self.backend.zero
-        for a in self.amps.values():
-            total = total + a * a.conjugate()
-        self._norm_sq = total
+        self._norm = None
+
+    def _norm_sq(self):
+        """Squared norm in the amplitude type (ExactScalar or complex)."""
+        if self._norm is None:
+            total = self.backend.zero
+            for a in self.amps.values():
+                total = total + a * a.conjugate()
+            self._norm = total
+        return self._norm
 
     def norm_sq(self):
         """Squared norm as Fraction (exact backend) or float."""
-        return amp.real_part(self._norm_sq)
+        return amp.real_part(self._norm_sq())
 
     def is_zero(self) -> bool:
         return not self.amps
-
-    def inner(self, other: "StateVector"):
-        """<self|other> in the shared amplitude type."""
-        total = self.backend.zero
-        for k, a in self.amps.items():
-            b = other.amps.get(k)
-            if b is not None:
-                total = total + a.conjugate() * b
-        return total
 
     def apply_ket_map(self, ket_map: KetMap) -> "StateVector":
         """Push every basis ket through a linear ket -> sum-of-kets map."""
@@ -108,7 +106,7 @@ class StateVector:
         for k, a in self.amps.items():
             if predicate(k):
                 kept = kept + a * a.conjugate()
-        return self.backend.ratio(kept, self._norm_sq)
+        return self.backend.ratio(kept, self._norm_sq())
 
     def dump(self) -> str:
         """Canonical text form, one ket per line in basis order."""

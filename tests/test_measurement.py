@@ -1,10 +1,12 @@
 """Knowledge projection and the annihilation channel."""
 
 import numbers
+import random
 from fractions import Fraction
 
 import pytest
 
+from hardysim import amplitude as amp
 from hardysim.amplitude import EXACT, FLOAT, INV_SQRT2, ExactScalar, ONE
 from hardysim.errors import (AnnihilatedError, ConfigError, SimulationError,
                              UnrepresentableError)
@@ -15,7 +17,7 @@ from hardysim.optics import apply_bs1_pair
 from hardysim.state import (ABSORBED, BasisKet, DensityMatrix, PathLabel,
                             StateVector, pure_to_density)
 from test_state import (density_times, eq3_state, eq6_state, no_photon_entries,
-                        scaled)
+                        random_hermitian, scaled)
 
 S, u, v, c, d = PathLabel
 
@@ -25,6 +27,10 @@ def ket(plus, minus):
 
 
 PARTICLE_KETS = [ket(v, v), ket(v, u), ket(u, v), ket(u, u)]
+
+# The benchmark's exact sweep: p whose sqrt(p) and sqrt(1-p) lie in Q(sqrt2).
+EXACT_SWEEP_PS = [Fraction(p) for p in ("0", "1", "1/2", "9/25", "16/25",
+                                        "1/9", "8/9", "1/50", "49/50")]
 
 NOT_REAL = [True, False, "1/2", None, "abc", 0.5 + 0j]
 
@@ -234,6 +240,66 @@ class TestApplyChannel:
         out = apply_channel(rho, annihilation_channel(half))
         assert out.entries[(ABSORBED, ABSORBED)] == ExactScalar(Fraction(9, 16))
         assert out.diagonal_probability(lambda k: True) == 1
+
+
+def dense_channel(rho, p, backend):
+    """K_pass rho K_pass^dagger + K_abs rho K_abs^dagger, entry by entry: a
+    sum over every (a, b) of K(a2, a) rho(a, b) K(b2, b)* for both Kraus
+    elements, written out as matrices over the kets rho holds plus the sink."""
+    arith = amp.backend(backend)
+    zero, one = arith.zero, arith.one
+    s, r = arith.sqrt(1 - p), arith.sqrt(p)
+
+    def k_pass(a2, a):
+        return zero if a2 != a else s if a == DOOMED else one
+
+    def k_abs(a2, a):
+        return r if (a2, a) == (ABSORBED, DOOMED) else zero
+
+    basis = sorted({k for pair in rho.entries for k in pair} | {ABSORBED},
+                   key=BasisKet.sort_key)
+    out = {}
+    for a2 in basis:
+        for b2 in basis:
+            total = zero
+            for kraus in (k_pass, k_abs):
+                for a in basis:
+                    for b in basis:
+                        total = total + (kraus(a2, a)
+                                         * rho.entries.get((a, b), zero)
+                                         * kraus(b2, b).conjugate())
+            if total != 0:
+                out[(a2, b2)] = total
+    return out
+
+
+class TestApplyChannelOracle:
+    """apply_channel against the dense two-Kraus sum, on seeded random
+    Hermitian matrices over {u, v} per arm plus the photon sink, each with a
+    nonzero doomed diagonal entry so that the sink term always shows: exact
+    at the benchmark's exact p, float at those and at eight seeded p."""
+
+    BASIS = [ket(a, b) for a in (u, v) for b in (u, v)] + [ABSORBED]
+    FLOAT_PS = [k / 1000 for k in random.Random(21).sample(range(1, 1000), 8)]
+
+    @pytest.mark.parametrize("backend, p",
+                             [(EXACT, p) for p in EXACT_SWEEP_PS]
+                             + [(FLOAT, p) for p in EXACT_SWEEP_PS + FLOAT_PS])
+    def test_matches_the_dense_oracle(self, backend, p):
+        entries = random_hermitian(random.Random(f"{backend}:{p}"),
+                                   self.BASIS).entries
+        entries.setdefault((DOOMED, DOOMED), ExactScalar(Fraction(1, 3)))
+        if backend == FLOAT:
+            entries = {key: val.to_complex() for key, val in entries.items()}
+        rho = DensityMatrix(entries, backend)
+        got = apply_channel(rho, annihilation_channel(p, backend)).entries
+        want = dense_channel(rho, Fraction(p), backend)
+        if backend == EXACT:
+            assert got == want
+        else:
+            assert got.keys() == want.keys()
+            for key, val in want.items():
+                assert abs(got[key] - val) <= 1e-12
 
 
 class TestConditioning:

@@ -11,7 +11,7 @@ from hardysim.errors import ModeAliasingError
 from hardysim.optics import (MINUS, PLUS, apply_bs, apply_bs1_pair,
                              bs_ket_map, relabel_ket_map)
 from hardysim.state import ABSORBED, BasisKet, PathLabel, StateVector
-from test_state import eq3_state, eq6_state, random_state
+from test_state import eq3_state, eq6_state, inner, random_state
 
 S, u, v, c, d = PathLabel
 
@@ -42,7 +42,7 @@ class TestApplyBs:
             b = random_state(rng)
             a2 = apply_bs(a, PLUS, (u, v), (c, d))
             b2 = apply_bs(b, PLUS, (u, v), (c, d))
-            assert a2.inner(b2) == a.inner(b)
+            assert inner(a2, b2) == inner(a, b)
             assert a2.norm_sq() == a.norm_sq()
 
     def test_inverse_composition(self):

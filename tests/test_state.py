@@ -51,6 +51,15 @@ def density_times(sv, weight):
     return {key: val * weight for key, val in pure_to_density(sv).entries.items()}
 
 
+def inner(a, b):
+    """<a|b>, summed over the kets both states hold."""
+    total = amp.ZERO
+    for k, x in a.amps.items():
+        if k in b.amps:
+            total = total + x.conjugate() * b.amps[k]
+    return total
+
+
 def random_state(rng, backend=EXACT, kets=None):
     if kets is None:
         kets = [ket(a, b) for a in (u, v) for b in (u, v)]
@@ -130,7 +139,7 @@ class TestProbability:
                     if k.plus == label:
                         kept = kept + a * a.conjugate()
                 total = total + kept
-            assert total == sv._norm_sq
+            assert total == sv._norm_sq()
 
 
 class TestDensity:

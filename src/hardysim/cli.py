@@ -167,9 +167,9 @@ def cmd_run(args) -> int:
     print("\n".join(_table_lines(cond, title)
                     + _table_lines(uncond, "unconditional")))
     records = cond + uncond
-    if args.csv:
+    if args.csv is not None:
         _write_csv(args.csv, records)
-    if args.json:
+    if args.json is not None:
         _write_json(args.json, {
             "config": cfg.key,
             "backend": cfg.backend,

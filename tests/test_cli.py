@@ -51,10 +51,11 @@ class TestRun:
         cfg = write_config(tmp_path, bs2_plus=True)
         assert main(["run", "--config", cfg]) == 2
 
-    def test_unknown_backend_exits_2(self, tmp_path):
+    def test_unknown_backend_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True,
                            backend="symbolic")
         assert main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unrepresentable_exact_p_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True, p="1/3")
@@ -110,10 +111,12 @@ class TestRun:
             assert outputs[0].err.startswith("error: ")
 
     def test_decimal_p_number_prints_as_written(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True, p=0.1,
-                           backend="float")
-        assert main(["run", "--config", cfg]) == 0
-        assert "p=1/10  backend=float" in capsys.readouterr().out
+        for p, backend, title in [(0.1, "float", "p=1/10  backend=float"),
+                                  (0.36, "exact", "p=9/25  backend=exact")]:
+            cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True, p=p,
+                               backend=backend)
+            assert main(["run", "--config", cfg]) == 0
+            assert capsys.readouterr().out.startswith(f"config II  {title} ")
 
     @pytest.mark.parametrize("fields, quoted", [
         ({"backnd": "float"}, "'backnd'"),
@@ -130,7 +133,6 @@ class TestRun:
         assert quoted in captured.err
         assert len(captured.err) < 200
         assert captured.out == ""
-
 
     @pytest.mark.parametrize("text, quoted", [
         # json.load alone keeps the last of two equal fields and runs on
@@ -162,7 +164,9 @@ class TestRun:
         ('"bs2_plus": true, "bs2_minus": true, "p": null',
          "reaction probability None is not a real number"),
         ('"bs2_plus": true, "p": 1', "bs2_minus must be true or false, got None"),
-    ], ids=["p-NaN", "p--Infinity", "p-null", "no-bs2_minus"])
+        ('"bs2_plus": true, "bs2_minus": true, "backend": ["exact"]',
+         "unknown backend ['exact']"),
+    ], ids=["p-NaN", "p--Infinity", "p-null", "no-bs2_minus", "list-backend"])
     def test_field_value_refused_by_scenario_config_exits_2(self, tmp_path,
                                                             capsys, text, quoted):
         path = tmp_path / "config.json"
@@ -288,14 +292,18 @@ class TestExports:
         assert Fraction(probs[("d", "d", "true")]) == Fraction(1, 12)
         assert Fraction(probs[("gamma", "gamma", "false")]) == Fraction(1, 4)
 
-
-    @pytest.mark.parametrize("flag", ["--csv", "--json"])
-    def test_unwritable_export_exits_2(self, tmp_path, capsys, flag):
+    # "" names the working directory, which no export may replace
+    @pytest.mark.parametrize("flag, target", [
+        ("--csv", "missing/out"), ("--json", "missing/out"),
+        ("--csv", ""), ("--json", "")],
+        ids=["--csv", "--json", "--csv-empty", "--json-empty"])
+    def test_unwritable_export_exits_2(self, tmp_path, capsys, monkeypatch,
+                                       flag, target):
         cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True, p="1")
-        target = tmp_path / "missing" / "out"
-        assert main(["run", "--config", cfg, flag, str(target)]) == 2
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", cfg, flag, target]) == 2
         assert capsys.readouterr().err.startswith("error: cannot write ")
-        assert not target.parent.exists()
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_failed_export_leaves_no_partial_file(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -317,18 +325,24 @@ class TestExports:
 
     @pytest.mark.parametrize("flag, first_line", [
         ("--csv", ",".join(CSV_FIELDS)), ("--json", "{")])
-    def test_export_through_a_symlink_writes_its_target(self, tmp_path, capsys,
-                                                        flag, first_line):
-        cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True, p="0")
-        real = tmp_path / "real.out"
-        real.write_text("previous export\n")
-        link = tmp_path / "link.out"
-        link.symlink_to(real)
-        assert main(["run", "--config", cfg, flag, str(link)]) == 0
-        assert link.is_symlink() and os.readlink(link) == str(real)
-        assert real.read_text().splitlines()[0] == first_line
+    def test_export_through_a_symlink_writes_its_target(self, tmp_path,
+                                                        monkeypatch, flag,
+                                                        first_line):
+        # a dangling relative link resolves from its directory, not the cwd
+        cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True, p=0)
+        (tmp_path / "real.out").write_text("previous export\n")
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        for name, dest in [("abs.out", str(tmp_path / "real.out")),
+                          ("rel.out", "new.out")]:
+            link = tmp_path / name
+            link.symlink_to(dest)
+            assert main(["run", "--config", cfg, flag, str(link)]) == 0
+            assert link.is_symlink() and os.readlink(link) == dest
+            assert (tmp_path / dest).read_text().splitlines()[0] == first_line
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "config.json", "link.out", "real.out"]
+            "abs.out", "config.json", "cwd", "new.out", "real.out", "rel.out"]
+        assert os.listdir() == []
 
     @pytest.mark.parametrize("flag, first_line", [
         ("--csv", ",".join(CSV_FIELDS)), ("--json", "{")])
@@ -402,33 +416,6 @@ class TestReports:
         assert first == capsys.readouterr().out
 
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
-
-
-class TestGolden:
-    @pytest.mark.parametrize("command", ["table", "lhv-audit", "hom"])
-    def test_stdout_matches_the_golden_file(self, command, capsys):
-        # golden/<command>.txt is the expected stdout, byte for byte; CI
-        # diffs `python -m hardysim.cli <command>` against the same file
-        assert main([command]) == 0
-        with open(os.path.join(GOLDEN, f"{command}.txt"), "rb") as fh:
-            assert capsys.readouterr().out.encode("utf-8") == fh.read()
-
-    @pytest.mark.parametrize("name", ["run-exact-half", "run-float-half"])
-    def test_run_outputs_match_the_golden_files(self, name, tmp_path, capsys):
-        # golden/<name>.config.json is run; stdout, CSV and JSON must match
-        # golden/<name>.txt, .csv and .json byte for byte, as CI also diffs
-        csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
-        assert main(["run", "--config",
-                     os.path.join(GOLDEN, f"{name}.config.json"),
-                     "--csv", str(csv_path), "--json", str(json_path)]) == 0
-        outputs = {"txt": capsys.readouterr().out.encode("utf-8"),
-                   "csv": csv_path.read_bytes(), "json": json_path.read_bytes()}
-        for ext, got in outputs.items():
-            with open(os.path.join(GOLDEN, f"{name}.{ext}"), "rb") as fh:
-                assert got == fh.read(), ext
-
-
 class TestUsage:
     def test_no_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -436,26 +423,62 @@ class TestUsage:
         assert exc.value.code == 2
 
 
+SRC = os.path.dirname(os.path.dirname(hardysim.__file__))
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
 class TestImport:
     def test_cli_import_loads_only_what_every_command_needs(self):
         # lhv, bosonic and csv are imported by the commands that use them
         lazy = ["dataclasses", "inspect", "hardysim.lhv", "hardysim.bosonic",
                 "csv"]
-        src = os.path.dirname(os.path.dirname(hardysim.__file__))
         code = ("import sys, hardysim.cli; "
                 f"print(sorted(m for m in {lazy!r} if m in sys.modules))")
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=SRC)
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
 
-def run_cli(args, stdout):
-    src = os.path.dirname(os.path.dirname(hardysim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+def run_cli(args, stdout, **env):
+    env = dict(os.environ, PYTHONPATH=SRC, **env)
     return subprocess.run([sys.executable, "-m", "hardysim.cli", *args],
                           stdout=stdout, stderr=subprocess.PIPE, env=env,
                           text=True, timeout=60)
+
+
+class TestEntryPoint:
+    """`python -m hardysim.cli` as a user runs it, lazy imports included. A
+    golden's stdout and exports equal golden/<golden>.txt, .csv and .json
+    byte for byte. A row with config fields runs them, and stderr is line."""
+
+    @pytest.mark.parametrize("command, golden, config, code, line", [
+        ("table", "table", None, 0, None),
+        ("lhv-audit", "lhv-audit", None, 0, None),
+        ("hom", "hom", None, 0, None),
+        ("run", "run-exact-half", None, 0, None),
+        ("run", "run-float-half", None, 0, None),
+        ("run", None, dict(bs2_plus=True, bs2_minus=True, p="3/4"), 3,
+         "error: sqrt(3/4) is not in Q(i, sqrt2)"),
+    ], ids=["table", "lhv-audit", "hom", "run-exact-half", "run-float-half",
+            "exact_3_4"])
+    def test_output(self, tmp_path, command, golden, config, code, line):
+        args = [command]
+        if command == "run":
+            path = os.path.join(GOLDEN, f"{golden}.config.json")
+            if config:
+                path = write_config(tmp_path, **config)
+            args += ["--config", str(path), "--csv", str(tmp_path / "out.csv"),
+                     "--json", str(tmp_path / "out.json")]
+        with open(tmp_path / "out.txt", "wb") as fh:
+            out = run_cli(args, fh)
+        got = {f.suffix[1:]: f.read_bytes() for f in tmp_path.glob("out.*")}
+        assert out.returncode == code
+        assert out.stderr == (f"{line}\n" if line else "")
+        if golden:
+            for ext in ["txt", "csv", "json"] if command == "run" else ["txt"]:
+                with open(os.path.join(GOLDEN, f"{golden}.{ext}"), "rb") as fh:
+                    assert got.get(ext) == fh.read(), ext
 
 
 HELP = [["--help"], ["run", "--help"]]
@@ -465,12 +488,16 @@ REPORTS = [["table"], ["lhv-audit"], ["hom"]]
 class TestUnwritableStdout:
     """A report or help text whose stdout cannot be written ends in one
     error line and exit 2, with no traceback, also not from the
-    interpreter's exit flush."""
+    interpreter's exit flush. A run with buffered stdout tries its exports
+    first, and one that fails adds one line; unbuffered, the first print
+    fails before any export is tried."""
 
-    def run(self, args, stdout):
-        out = run_cli(args, stdout)
+    def run(self, args, stdout, export_errors=0, **env):
+        out = run_cli(args, stdout, **env)
         assert out.returncode == 2
-        [line] = out.stderr.splitlines()
+        *exports, line = out.stderr.splitlines()
+        assert len(exports) == export_errors
+        assert all(e.startswith("error: cannot write ") for e in exports)
         assert line.startswith("error: cannot write stdout: ")
         assert "Traceback" not in out.stderr
         assert "Exception ignored" not in out.stderr
@@ -490,6 +517,17 @@ class TestUnwritableStdout:
     def test_full_device(self, args):
         with open("/dev/full", "w") as full:
             self.run(args, full)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered, export_errors", [("1", 0), ("", 1)],
+                             ids=["unbuffered", "buffered"])
+    def test_run_whose_export_fails_too(self, tmp_path, unbuffered,
+                                        export_errors):
+        cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True, p="1")
+        args = ["run", "--config", cfg, "--csv", str(tmp_path / "no" / "x")]
+        with open("/dev/full", "w") as full:
+            self.run(args, full, export_errors, PYTHONUNBUFFERED=unbuffered)
 
     @pytest.mark.parametrize("args", HELP, ids=" ".join)
     def test_help_to_a_writable_stdout(self, args):

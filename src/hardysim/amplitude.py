@@ -296,7 +296,6 @@ class Backend(str):
 
     - ``sqrt(q)``: sqrt(q) for a rational q >= 0;
     - ``prune(amps)``: the map without its zero values;
-    - ``close(a, b)``: a == b, within FLOAT_TOL on the float backend;
     - ``ratio(num, den)``: the real number num / den, den a squared norm.
     """
 
@@ -316,9 +315,6 @@ class _ExactBackend(Backend):
     def prune(self, amps):
         return {k: a for k, a in amps.items() if a.ints != _ZERO_INTS}
 
-    def close(self, a, b):
-        return a == b
-
     def ratio(self, num, den):
         return real_part(num / den)
 
@@ -337,9 +333,6 @@ class _FloatBackend(Backend):
         """Also drops cancellation residues (see RESIDUE_REL)."""
         cut = RESIDUE_REL * max(map(abs, amps.values()), default=0.0)
         return {k: a for k, a in amps.items() if abs(a) > cut}
-
-    def close(self, a, b):
-        return abs(a - b) <= FLOAT_TOL
 
     def ratio(self, num, den):
         den = den.real

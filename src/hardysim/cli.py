@@ -62,24 +62,31 @@ CSV_FIELDS = ["config", "detector_plus", "detector_minus",
               "prob_exact", "prob_float", "conditional"]
 
 
+def _cannot(action: str, path: str, exc: Exception) -> ConfigError:
+    """The error for a path that cannot be used, quoted by echo. An OSError
+    gives only its strerror, as its str() repeats the file names uncut."""
+    return ConfigError(f"cannot {action} {echo(path)}: "
+                       f"{getattr(exc, 'strerror', None) or exc}")
+
+
 def _write_atomic(path: str, write):
     """Call write(fh) on a temp file beside path's real target, then rename
     it over that target, so a failed write leaves no partial file and a
-    symlink stays a link. A target that exists but is not a regular file (a
-    pipe or a device) is written in place. OSError becomes ConfigError."""
+    symlink stays a link. A pipe, a device or a target with the temp file's
+    name is written in place. OSError becomes ConfigError."""
     target = os.path.realpath(path)
     in_place = os.path.exists(target) and not os.path.isfile(target)
     tmp = target if in_place else os.path.join(
-        os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
+        os.path.dirname(target), f".hardysim-{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             write(fh)
-        if not in_place:
+        if tmp != target:
             os.replace(tmp, target)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+        raise _cannot("write", path, exc) from exc
     finally:
-        if not in_place and os.path.exists(tmp):
+        if tmp != target and os.path.exists(tmp):
             os.unlink(tmp)
 
 
@@ -139,7 +146,7 @@ def _load_config(path: str) -> hardy.ScenarioConfig:
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers bad JSON, bytes that are not UTF-8 and integer
         # literals beyond the int string limit
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise _cannot("read config", path, exc) from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     for key in raw:

@@ -42,10 +42,6 @@ class ModeAliasingError(SimulationError):
     so the image would merge with that mode."""
 
 
-class NonHermitianError(SimulationError):
-    """A density matrix failed its Hermiticity check."""
-
-
 class UnrepresentableError(SimulationError):
     """A value (e.g. sqrt(p)) does not lie in the exact field Q(i, sqrt2)."""
 

@@ -115,4 +115,4 @@ def apply_channel(rho: DensityMatrix, ch: AnnihilationChannel) -> DensityMatrix:
         term = (doomed * c) * c.conjugate()
         cur = entries.get((sink, sink))
         entries[(sink, sink)] = term if cur is None else cur + term
-    return DensityMatrix(entries, rho.backend, check=False)
+    return DensityMatrix(entries, rho.backend)

@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from . import amplitude as amp
 from .amplitude import EXACT
-from .errors import EmptyStateError, NonHermitianError
+from .errors import EmptyStateError
 
 
 class PathLabel(enum.IntEnum):
@@ -118,24 +118,13 @@ class StateVector:
 
 
 class DensityMatrix:
-    """Hermitian finite map (BasisKet, BasisKet) -> amplitude. check=True is the
-    Hermiticity gate for a matrix built outside the library; the library's own
-    builders make Hermitian matrices by construction and pass check=False."""
+    """Finite map (BasisKet, BasisKet) -> amplitude, Hermitian by construction
+    in the library; a matrix built by hand is not checked."""
 
     def __init__(self, entries: Dict[Tuple[BasisKet, BasisKet], object],
-                 backend: str = EXACT, check: bool = True):
+                 backend: str = EXACT):
         self.backend = amp.backend(backend)
         self.entries = self.backend.prune(entries)
-        if check:
-            self._check_hermitian()
-
-    def _check_hermitian(self):
-        for (a, b), val in self.entries.items():
-            mirror = self.entries.get((b, a))
-            if mirror is None:
-                raise NonHermitianError(f"missing conjugate entry for ({a}, {b})")
-            if not self.backend.close(val, mirror.conjugate()):
-                raise NonHermitianError(f"entry ({a}, {b}) breaks Hermiticity")
 
     def purity(self):
         """trace(rho^2), computed as sum_ab rho(a,b) rho(b,a)."""
@@ -176,7 +165,7 @@ class DensityMatrix:
                 key, term = (a2, b2), val * cb
                 cur = out.get(key)
                 out[key] = term if cur is None else cur + term
-        return DensityMatrix(out, self.backend, check=False)
+        return DensityMatrix(out, self.backend)
 
     def __repr__(self) -> str:
         return f"DensityMatrix({self.backend}, {len(self.entries)} entries)"
@@ -192,4 +181,4 @@ def pure_to_density(sv: StateVector) -> DensityMatrix:
     for a, va in sv.amps.items():
         for b, cb in bras:
             entries[(a, b)] = va * cb
-    return DensityMatrix(entries, sv.backend, check=False)
+    return DensityMatrix(entries, sv.backend)

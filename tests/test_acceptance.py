@@ -117,7 +117,7 @@ def test_criterion_5():
     # p=1/2 mixes: full state and particle block both lose purity
     out_half = apply_channel(rho, annihilation_channel(Fraction(1, 2)))
     assert out_half.purity() < 1
-    block = DensityMatrix(no_photon_entries(out_half), check=False)
+    block = DensityMatrix(no_photon_entries(out_half))
     assert block.purity() < 1
 
 

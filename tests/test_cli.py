@@ -47,6 +47,22 @@ class TestRun:
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 2
 
+    # a path is quoted by echo, so a newline in it cannot start a second line
+    @pytest.mark.parametrize("name, text, quoted", [
+        ("x\nerror: injected", None, "x\\nerror: injected'"),
+        ("x\nerror: injected", "{not json", "x\\nerror: injected'"),
+        ("x" * 300, None, "'" + "x" * 79 + "..."),
+    ], ids=["newline-missing", "newline-bad-json", "300-chars-missing"])
+    def test_unreadable_config_path_is_quoted(self, tmp_path, capsys, monkeypatch,
+                                              name, text, quoted):
+        monkeypatch.chdir(tmp_path)
+        if text is not None:
+            (tmp_path / name).write_text(text)
+        assert main(["run", "--config", name]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config '")
+        assert quoted in err and err.count("\n") == 1 and len(err) < 200
+
     def test_missing_field_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, bs2_plus=True)
         assert main(["run", "--config", cfg]) == 2
@@ -292,18 +308,37 @@ class TestExports:
         assert Fraction(probs[("d", "d", "true")]) == Fraction(1, 12)
         assert Fraction(probs[("gamma", "gamma", "false")]) == Fraction(1, 4)
 
-    # "" names the working directory, which no export may replace
-    @pytest.mark.parametrize("flag, target", [
-        ("--csv", "missing/out"), ("--json", "missing/out"),
-        ("--csv", ""), ("--json", "")],
-        ids=["--csv", "--json", "--csv-empty", "--json-empty"])
+    # "" names the working directory, which no export may replace; a path
+    # is quoted by echo, so a newline in it cannot start a second line
+    @pytest.mark.parametrize("flag, target, quoted", [
+        ("--csv", "missing/out", "'missing/out'"),
+        ("--json", "missing/out", "'missing/out'"),
+        ("--csv", "", "''"), ("--json", "", "''"),
+        ("--csv", "missing/x\nerror: injected", "'missing/x\\nerror: injected'"),
+        ("--json", "missing/" + "x" * 300, "'missing/" + "x" * 71 + "..."),
+    ], ids=["--csv", "--json", "--csv-empty", "--json-empty", "--csv-newline",
+            "--json-300-chars"])
     def test_unwritable_export_exits_2(self, tmp_path, capsys, monkeypatch,
-                                       flag, target):
+                                       flag, target, quoted):
         cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True, p="1")
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--config", cfg, flag, target]) == 2
-        assert capsys.readouterr().err.startswith("error: cannot write ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {quoted}: ")
+        assert err.count("\n") == 1 and len(err) < 200
         assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("flag", ["--csv", "--json"])
+    def test_export_name_at_the_length_limit(self, tmp_path, capsys, flag):
+        # the temp file's name has a fixed length, so any name the directory
+        # takes can be exported to, also the temp file's own name
+        cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True, p="1")
+        name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+        for name in ["x" * (name_max - 4) + ".out", f".hardysim-{os.getpid()}.tmp"]:
+            assert main(["run", "--config", cfg, flag, str(tmp_path / name)]) == 0
+            assert sorted(os.listdir(tmp_path)) == sorted(["config.json", name])
+            assert (tmp_path / name).stat().st_size > 0
+            os.unlink(tmp_path / name)
 
     def test_failed_export_leaves_no_partial_file(self, tmp_path, capsys,
                                                   monkeypatch):

@@ -409,11 +409,20 @@ class TestWorkBudget:
         assert made / len(scenarios) <= self.BUDGET
 
 
+def is_hermitian(rho) -> bool:
+    """Every entry's mirror entry exists and is its conjugate: exactly on the
+    exact backend, within FLOAT_TOL on the float one."""
+    def close(x, y):
+        return x == y if rho.backend == EXACT else abs(x - y) <= amplitude.FLOAT_TOL
+
+    return all((b, a) in rho.entries and close(rho.entries[(b, a)].conjugate(), val)
+               for (a, b), val in rho.entries.items())
+
+
 class TestHermitianByConstruction:
-    """Every density matrix run_scenario builds passes the constructor's
-    Hermiticity check, which the library's own builders skip: the state's
-    pure_to_density, the channel's output and the final matrix, for the 4
-    layouts at interior p on both backends."""
+    """Every density matrix run_scenario builds is Hermitian, which no check
+    in the library tests: the state's pure_to_density, the channel's output
+    and the final matrix, for the 4 layouts at interior p on both backends."""
 
     EXACT_PS = [Fraction(p) for p in ("1/2", "9/25", "16/25", "1/9", "8/9",
                                       "1/50", "49/50")]
@@ -442,4 +451,4 @@ class TestHermitianByConstruction:
         assert len(made) == 12
         for rho in made:
             assert isinstance(rho, DensityMatrix)
-            DensityMatrix(rho.entries, rho.backend)
+            assert is_hermitian(rho)

@@ -218,7 +218,7 @@ class TestApplyChannel:
         assert out.diagonal_probability(lambda k: True) == 1
         assert out.purity() < 1
         # particle sub-block of the unit-trace output: purity < 1 as well
-        particle = DensityMatrix(no_photon_entries(out), check=False)
+        particle = DensityMatrix(no_photon_entries(out))
         assert particle.diagonal_probability(lambda k: True) == Fraction(7, 8)
         assert particle.purity() == Fraction(49, 64)
 

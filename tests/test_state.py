@@ -7,8 +7,7 @@ import pytest
 
 from hardysim import amplitude as amp
 from hardysim.amplitude import EXACT, ExactScalar, I, ONE, real_part
-from hardysim.errors import (EmptyStateError, ModeAliasingError,
-                             NonHermitianError, SimulationError)
+from hardysim.errors import EmptyStateError, ModeAliasingError, SimulationError
 from hardysim.measurement import annihilation_channel, apply_channel
 from hardysim.optics import (BS2_IN, BS2_OUT, MINUS, PLUS, apply_bs1_pair,
                              bs_ket_map, relabel_ket_map)
@@ -171,12 +170,6 @@ class TestDensity:
         out = apply_channel(rho, annihilation_channel(Fraction(1, 2)))
         assert out.purity() < 1
 
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(NonHermitianError):
-            DensityMatrix({(ket(u, u), ket(v, v)): ONE,
-                           (ket(v, v), ket(u, u)): I,
-                           (ket(u, u), ket(u, u)): ONE})
-
     def test_diagonal_matches_probability(self):
         sv = eq3_state()
         rho = pure_to_density(sv)
@@ -278,7 +271,7 @@ class TestApplyKetMapOracle:
         good = ket(u, u)
         for entries in ({(good, good): ONE, (bad, bad): ONE},
                         {(good, bad): ONE}):
-            rho = DensityMatrix(entries, check=False)
+            rho = DensityMatrix(entries)
             with pytest.raises(ModeAliasingError):
                 rho.apply_ket_map(self.MAPS[name])
 

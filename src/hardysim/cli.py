@@ -31,6 +31,7 @@ EXIT_DOMAIN = 3
 # Fraction's own, underscores between digits included.
 P_TEXT_MAX_CHARS = 100
 P_EXPONENT_MAX = 400
+USAGE_MAX_CHARS = 200
 _EXPONENT = re.compile(r"e([+-]?\d+(?:_\d+)*)", re.IGNORECASE)
 
 
@@ -222,10 +223,18 @@ def cmd_hom(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse, but help text that stdout cannot take raises OSError
-    instead of being dropped with exit 0."""
+    instead of being dropped with exit 0, and a usage error raises
+    ConfigError: one line, since repr() escapes every line break in the
+    arguments argparse quotes raw, cut to USAGE_MAX_CHARS characters."""
 
     def print_help(self, file=None):
         print(self.format_help(), end="", file=file or sys.stdout, flush=True)
+
+    def error(self, message):
+        text = repr(message)[1:-1]
+        if len(text) > USAGE_MAX_CHARS:
+            text = text[:USAGE_MAX_CHARS] + "..."
+        raise ConfigError(f"{text} (see {self.prog} --help)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
         try:
+            args = build_parser().parse_args(argv)
             status = args.func(args)
         except SimulationError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -3,10 +3,10 @@
 For a reaction probability p the annihilation at the meeting point is a
 quantum channel with two Kraus elements: a "pass" element that damps the
 annihilating ket by sqrt(1-p), and an "absorb" element that transfers it to
-the photon sink with weight sqrt(p). The channel output is in general a
-mixed state, so it acts on density matrices. Knowing that no photon
-appeared keeps the pass branch; at p = 1 that is the projection onto the
-non-annihilating kets, and at p = 0 it is the identity.
+the photon sink with amplitude sqrt(p), so weight p. The channel output is
+in general a mixed state, so it acts on density matrices. Knowing that no
+photon appeared keeps the pass branch; at p = 1 that is the projection onto
+the non-annihilating kets, and at p = 0 it is the identity.
 """
 
 from __future__ import annotations
@@ -47,18 +47,17 @@ class AnnihilationChannel:
     Kraus elements (identity elsewhere):
       pass:   |DOOMED> -> sqrt(1-p) |DOOMED>
       absorb: |DOOMED> -> sqrt(p)   |ABSORBED>
-    The sign of the absorbed branch is unobservable here; +sqrt(p) is used.
-    p is held as a Fraction. On the exact backend sqrt(p) and sqrt(1-p) must
-    lie in Q(i, sqrt2) (p in {0, 1, 1/2} and friends); otherwise an
-    UnrepresentableError asks for the float backend, not an approximation.
+    Only the absorbed weight p is observable, so +sqrt(p) is formed only
+    when absorb_map is called. p is held as a Fraction. On the exact backend
+    sqrt(1-p) (and sqrt(p), for absorb_map) must lie in Q(i, sqrt2);
+    otherwise an UnrepresentableError asks for the float backend.
     """
 
-    __slots__ = ("p", "backend", "sqrt_p", "sqrt_1mp")
+    __slots__ = ("p", "backend", "sqrt_1mp")
 
     def __init__(self, p: Fraction, backend: str = EXACT):
         self.p = p = check_reaction_prob(p)
         self.backend = amp.backend(backend)
-        self.sqrt_p = self.backend.sqrt(p)
         self.sqrt_1mp = self.backend.sqrt(1 - p)
 
     def pass_map(self):
@@ -70,8 +69,10 @@ class AnnihilationChannel:
         return ket_map
 
     def absorb_map(self):
+        sqrt_p = self.backend.sqrt(self.p)
+
         def ket_map(ket: BasisKet):
-            return [(ABSORBED, self.sqrt_p)] if ket == DOOMED else []
+            return [(ABSORBED, sqrt_p)] if ket == DOOMED else []
 
         return ket_map
 
@@ -99,9 +100,9 @@ def project_knowledge(sv: StateVector,
 
 def apply_channel(rho: DensityMatrix, ch: AnnihilationChannel) -> DensityMatrix:
     """rho -> K_pass rho K_pass^dagger + K_abs rho K_abs^dagger. K_abs has one
-    image, c |sink> of DOOMED, so it adds rho(DOOMED, DOOMED) |c|^2 to the sink.
-    K_pass is diagonal: it scales entry (a, b) by s(a) conj(s(b)), with each
-    distinct ket's factor s(k) read off pass_map once."""
+    image, sqrt(p) |sink> of DOOMED, so it adds p rho(DOOMED, DOOMED), with
+    p in the entry's scalar type, to the sink. K_pass is diagonal: it scales
+    entry (a, b) by s(a) conj(s(b)), each ket's s(k) read off pass_map once."""
     pass_map = ch.pass_map()
     ket_side, bra_side = {}, {}
     for ket in {k for pair in rho.entries for k in pair}:
@@ -110,9 +111,8 @@ def apply_channel(rho: DensityMatrix, ch: AnnihilationChannel) -> DensityMatrix:
     entries = {(a, b): (val * ket_side[a]) * bra_side[b]
                for (a, b), val in rho.entries.items()}
     doomed = rho.entries.get((DOOMED, DOOMED))
-    [(sink, c)] = ch.absorb_map()(DOOMED)
     if doomed is not None:
-        term = (doomed * c) * c.conjugate()
-        cur = entries.get((sink, sink))
-        entries[(sink, sink)] = term if cur is None else cur + term
+        term = doomed * type(doomed)(ch.p)
+        cur = entries.get((ABSORBED, ABSORBED))
+        entries[(ABSORBED, ABSORBED)] = term if cur is None else cur + term
     return DensityMatrix(entries, rho.backend)

@@ -77,6 +77,16 @@ class TestRun:
         cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True, p="1/3")
         assert main(["run", "--config", cfg]) == 3
 
+    def test_exact_p_needs_only_sqrt_of_1_minus_p(self, tmp_path, capsys):
+        # sqrt(3/4) is not in Q(i, sqrt2), but only sqrt(1 - 3/4) = 1/2 and
+        # the photon weight p reach a table
+        cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True, p="3/4")
+        assert main(["run", "--config", cfg]) == 0
+        cond, uncond = capsys.readouterr().out.split("\nunconditional\n")
+        assert "  d,d | 1/52 | 0.0192307692308" in cond.splitlines()
+        assert "  d,d | 1/64 | 0.015625" in uncond.splitlines()
+        assert "  gamma | 3/16 | 0.1875" in uncond.splitlines()
+
     def test_float_backend_accepts_any_p(self, tmp_path, capsys):
         cfg = write_config(tmp_path, bs2_plus=True, bs2_minus=True, p="1/3",
                            backend="float")
@@ -453,9 +463,23 @@ class TestReports:
 
 class TestUsage:
     def test_no_command_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([])
-        assert exc.value.code == 2
+        assert main([]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "x\nerror: injected"],
+        ["run", "--c=x\nerror: injected"],
+        [],
+        ["table", "x" * 1_000_000],
+    ], ids=["unrecognized-argument", "ambiguous-option", "no-command",
+            "1MB-argument"])
+    def test_usage_error_is_one_short_line(self, capsys, argv):
+        # argparse quotes an unrecognized argument and an ambiguous option
+        # raw; a newline in either must not start a second error line
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 300
 
 
 SRC = os.path.dirname(os.path.dirname(hardysim.__file__))
@@ -493,10 +517,10 @@ class TestEntryPoint:
         ("hom", "hom", None, 0, None),
         ("run", "run-exact-half", None, 0, None),
         ("run", "run-float-half", None, 0, None),
-        ("run", None, dict(bs2_plus=True, bs2_minus=True, p="3/4"), 3,
-         "error: sqrt(3/4) is not in Q(i, sqrt2)"),
+        ("run", None, dict(bs2_plus=True, bs2_minus=True, p="1/3"), 3,
+         "error: sqrt(2/3) is not in Q(i, sqrt2)"),
     ], ids=["table", "lhv-audit", "hom", "run-exact-half", "run-float-half",
-            "exact_3_4"])
+            "exact_1_3"])
     def test_output(self, tmp_path, command, golden, config, code, line):
         args = [command]
         if command == "run":

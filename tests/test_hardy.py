@@ -380,14 +380,16 @@ class TestWorkBudget:
     once, took it from 184.72 to 129.31. A state vector sums its squared norm
     on first read, so the intermediate states of the first splitters and of
     the endpoint BS2 stage, whose norm nothing reads, no longer sum it; that
-    took it from 129.31 to 121.58. Every scalar, reduced by a gcd or a
-    sign flip that needs none, is allocated through ``amplitude._new_scalar``,
-    so that is where they are counted.
+    took it from 129.31 to 121.58. The channel adds p rho(DOOMED, DOOMED) to
+    the sink instead of forming sqrt(p) and multiplying by it and its
+    conjugate, which took it from 121.58 to 120.58. Every scalar, reduced by
+    a gcd or a sign flip that needs none, is allocated through
+    ``amplitude._new_scalar``, so that is where they are counted.
     The memoized optical ket maps are emptied first, so the count includes
     building them and does not depend on which tests ran before.
     """
 
-    BUDGET = 122
+    BUDGET = 121
 
     def test_exact_sweep_constructions_per_scenario(self, monkeypatch):
         optics.bs_ket_map.cache_clear()

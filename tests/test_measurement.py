@@ -123,11 +123,12 @@ class TestChannelConstruction:
         # or zero elsewhere, so K_pass^dag K_pass + K_abs^dag K_abs = 1
         # comes down to |sqrt(1-p)|^2 + |sqrt(p)|^2 = 1
         ch = annihilation_channel(p)
-        keep, absorb = ch.sqrt_1mp, ch.sqrt_p
-        assert keep * keep.conjugate() + absorb * absorb.conjugate() == ONE
         pass_map, absorb_map = ch.pass_map(), ch.absorb_map()
+        keep = ch.sqrt_1mp
+        [(sink, absorb)] = absorb_map(DOOMED)
+        assert keep * keep.conjugate() + absorb * absorb.conjugate() == ONE
         assert pass_map(DOOMED) == [(DOOMED, keep)]
-        assert absorb_map(DOOMED) == [(ABSORBED, absorb)]
+        assert sink == ABSORBED
         for k in PARTICLE_KETS:
             if k != DOOMED:
                 assert pass_map(k) == [(k, ONE)]
@@ -167,7 +168,7 @@ class TestChannelConstruction:
         assert annihilation_channel is AnnihilationChannel
         ch = annihilation_channel(0.5)
         assert type(ch.p) is Fraction and ch.p == Fraction(1, 2)
-        assert ch.sqrt_p == INV_SQRT2
+        assert ch.absorb_map()(DOOMED) == [(ABSORBED, INV_SQRT2)]
 
     def test_exact_backend_rejects_irrational_sqrt(self):
         with pytest.raises(UnrepresentableError):
@@ -178,10 +179,17 @@ class TestChannelConstruction:
         with pytest.raises(UnrepresentableError) as info:
             annihilation_channel(Fraction(1, 10**5000))
         assert len(str(info.value)) < 200
+        # only sqrt(1-p) = 1/2 is needed to build the channel; sqrt(3/4) is
+        # formed only for the absorb element
+        ch = annihilation_channel(Fraction(3, 4))
+        assert ch.sqrt_1mp == ExactScalar(Fraction(1, 2))
+        with pytest.raises(UnrepresentableError, match=r"sqrt\(3/4\)"):
+            ch.absorb_map()
 
     def test_float_backend_takes_any_p(self):
         ch = annihilation_channel(Fraction(1, 3), FLOAT)
-        assert abs(ch.sqrt_p * ch.sqrt_p - (1 / 3)) < 1e-12
+        [(_, sqrt_p)] = ch.absorb_map()(DOOMED)
+        assert abs(sqrt_p * sqrt_p - (1 / 3)) < 1e-12
 
 
 class TestApplyChannel:

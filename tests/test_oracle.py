@@ -61,12 +61,16 @@ ORACLE = {
 }
 
 # p -> s = sqrt(1 - p) as (x, y), meaning x + y sqrt2: the nine p of the
-# benchmark's exact sweep, whose square roots lie in Q(sqrt2)
+# benchmark's exact sweep, whose square roots lie in Q(sqrt2), then five p
+# whose sqrt(p) does not; only s and the weight p reach a table
 EXACT_S = {
     F(0): (F(1), F(0)), F(1): (F(0), F(0)), F(1, 2): (F(0), F(1, 2)),
     F(9, 25): (F(4, 5), F(0)), F(16, 25): (F(3, 5), F(0)),
     F(1, 9): (F(0), F(2, 3)), F(8, 9): (F(1, 3), F(0)),
     F(1, 50): (F(0), F(7, 10)), F(49, 50): (F(0), F(1, 10)),
+    F(3, 4): (F(1, 2), F(0)), F(5, 9): (F(2, 3), F(0)),
+    F(7, 16): (F(3, 4), F(0)), F(7, 9): (F(0), F(1, 3)),
+    F(17, 18): (F(0), F(1, 6)),
 }
 
 
@@ -119,7 +123,7 @@ def test_exact_backend_matches_closed_form(p):
 def test_float_backend_matches_closed_form():
     rng = random.Random(20121)
     ps = [F(rng.randint(1, 999999), 10**6) for _ in range(12)]
-    for p in ps + [F(1, 10**6), F(999999, 10**6), F(1, 3)]:
+    for p in ps + [F(1, 10**6), F(999999, 10**6), F(1, 3)] + sorted(EXACT_S):
         s = math.sqrt(1 - float(p))
         for layout, (bs2_plus, bs2_minus) in LAYOUTS.items():
             _, table = run_scenario(
@@ -170,6 +174,11 @@ def oracle_zero_events(s):
     (F(1, 2), 2, 9, False),
     (F(9, 25), 2, 9, False),
     (F(0), 7, 4, False),
+    (F(3, 4), 2, 9, False),
+    (F(5, 9), 2, 9, False),
+    (F(7, 16), 2, 9, False),
+    (F(7, 9), 2, 9, False),
+    (F(17, 18), 2, 9, False),
 ])
 def test_contradiction_needs_p_one(p, n_zeros, n_survivors, contradiction):
     # only the exact knowledge projection (p = 1) zeroes OO (c,c) while

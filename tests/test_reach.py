@@ -30,6 +30,7 @@ COMMANDS = [
     (["lhv-audit"], None, 0),
     (["hom"], None, 0),
     (["--help"], None, 0),
+    (["table", "extra"], None, 2),
     (["run", "--config", "missing.json"], None, 2),
     (["run"], dict(bs2_plus=False, bs2_minus=False, p=0), 0),
     (["run"], dict(bs2_plus=True, bs2_minus=False, p="1/2"), 0),
@@ -37,7 +38,8 @@ COMMANDS = [
     (["run"], dict(LAYOUT, p=1e-300, backend="float"), 0),
     (["run"], dict(bs2_plus=False, bs2_minus=True, p=0.5, backend="float"), 0),
     (["run"], dict(bs2_plus=False, bs2_minus=False, p=1, backend="float"), 0),
-    (["run"], dict(LAYOUT, p="3/4"), 3),
+    (["run"], dict(LAYOUT, p="3/4"), 0),
+    (["run"], dict(LAYOUT, p="1/3"), 3),
     (["run"], dict(LAYOUT, p="1e-400"), 3),
     (["run"], dict(LAYOUT, p=2), 3),
     (["run"], dict(bs2_plus="true", bs2_minus=True), 2),
@@ -65,6 +67,10 @@ UNREACHED = {
     "hardysim.hardy:OutcomeTable.__eq__":
         "public API: an exported OutcomeTable compares by value, not identity",
     "hardysim.hardy:OutcomeTable.__repr__": SHOWN,
+    "hardysim.measurement:AnnihilationChannel.absorb_map":
+        "public API: the absorb Kraus element; apply_channel needs only p",
+    "hardysim.measurement:AnnihilationChannel.absorb_map.<locals>.ket_map":
+        "the absorb element's ket map, which only absorb_map returns",
     "hardysim.state:PathLabel.__str__": f"{SHOWN}: kets and error messages",
     "hardysim.state:BasisKet.__str__": f"{SHOWN}: StateVector.dump's lines",
     "hardysim.state:BasisKet.sort_key": f"{SHOWN}: StateVector.dump's order",

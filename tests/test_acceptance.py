@@ -7,22 +7,18 @@ import functools
 import random
 from fractions import Fraction
 
-from hardysim.amplitude import EXACT, FLOAT, ExactScalar, I, ZERO
+from hypothesis import given, settings
+
+from hardysim.amplitude import EXACT, FLOAT, ExactScalar, I, ONE, ZERO
 from hardysim.bosonic import hom_coincidence_probability, splitter_output
 from hardysim.hardy import ScenarioConfig, full_table, run_scenario
 from hardysim.lhv import ConstraintSet, audit, quantum_constraints
 from hardysim.measurement import (annihilation_channel, apply_channel,
                                   project_knowledge)
-from hardysim.optics import MINUS, apply_bs, apply_bs1_pair
-from hardysim.state import BasisKet, DensityMatrix, PathLabel, pure_to_density
-from test_state import (density_times, inner, no_photon_entries,
-                        random_state)
-
-S, u, v, c, d = PathLabel
-
-
-def ket(plus, minus):
-    return BasisKet(plus, minus)
+from hardysim.optics import MINUS, PLUS, apply_bs, apply_bs1_pair
+from hardysim.state import ABSORBED, DensityMatrix, pure_to_density
+from helpers import (c, d, density_times, eq6_state, inner, ket,
+                     no_photon_entries, random_state, scalars, scaled, u, v)
 
 
 def criterion(number, description):
@@ -56,10 +52,9 @@ def test_criterion_2():
     sv = apply_bs1_pair()
     projected, survival = project_knowledge(sv, annihilation_channel(Fraction(1)))
     assert survival == Fraction(3, 4)
-    base = projected.amps[ket(v, v)]
-    assert projected.amps[ket(v, u)] == I * base
-    assert projected.amps[ket(u, v)] == I * base
-    assert set(projected.amps) == {ket(v, v), ket(v, u), ket(u, v)}
+    # eq3's amplitudes on eq6's kets, {1, i, i}/2: the projection rescales
+    # nothing, so every exact amplitude is fixed
+    assert projected.amps == scaled(eq6_state(), ONE / 2).amps
     assert projected.probability(lambda k: k == ket(u, u)) == 0
 
 
@@ -98,14 +93,19 @@ def test_criterion_4():
 def test_criterion_5():
     sv = apply_bs1_pair()
     rho = pure_to_density(sv)
-    # p=1: density path equals pure path, exact density equality
+    # p=1: density path equals pure path, exact density equality, and the
+    # no-photon block is eq6's density weighted by survival 3/4
     out = apply_channel(rho, annihilation_channel(Fraction(1)))
     projected, survival = project_knowledge(sv, annihilation_channel(Fraction(1)))
+    assert survival == Fraction(3, 4)
     assert out.diagonal_probability(lambda k: not k.is_absorbed) == survival
     assert no_photon_entries(out) == density_times(projected, survival)
-    # p=0 with both BS2 in: certain double detection at c
+    assert no_photon_entries(out) == density_times(eq6_state(), survival)
+    assert out.entries[(ABSORBED, ABSORBED)] == ExactScalar(Fraction(1, 4))
+    # p=0 with both BS2 in: certain double detection at c, no photon
     _, baseline = run_scenario(ScenarioConfig(True, True, Fraction(0)))
     assert baseline.prob("c", "c") == 1
+    assert baseline.gamma_prob == 0
     # trace preservation
     for p in (Fraction(0), Fraction(1, 2), Fraction(1)):
         out_p = apply_channel(rho, annihilation_channel(p))
@@ -118,7 +118,8 @@ def test_criterion_5():
     out_half = apply_channel(rho, annihilation_channel(Fraction(1, 2)))
     assert out_half.purity() < 1
     block = DensityMatrix(no_photon_entries(out_half))
-    assert block.purity() < 1
+    assert block.diagonal_probability(lambda k: True) == Fraction(7, 8)
+    assert block.purity() == Fraction(49, 64)
 
 
 @criterion(6, "LHV audit: contradiction, and removing any zero flips it")
@@ -134,9 +135,12 @@ def test_criterion_6():
 
 @criterion(7, "HOM: coincidence exactly 0; |u,v> + |v,u> leaves as i(|c,c> + |d,d>)")
 def test_criterion_7():
-    assert hom_coincidence_probability() == 0
+    prob = hom_coincidence_probability()
+    assert prob == 0 and type(prob) is Fraction
+    # squared norm 2 in and out
     out = splitter_output([ket(u, v), ket(v, u)])
     assert out.amps == {ket(c, c): I, ket(d, d): I}
+    assert out.norm_sq() == 2
 
 
 @criterion(8, "backend agreement on every probability to 1e-12")
@@ -150,32 +154,24 @@ def test_criterion_8():
                 for key in te.rows:
                     assert abs(float(te.rows[key]) - tf.rows[key]) <= 1e-12
                 assert abs(float(te.gamma_prob) - tf.gamma_prob) <= 1e-12
-    assert abs(float(hom_coincidence_probability())
-               - hom_coincidence_probability(FLOAT)) <= 1e-12
+    prob = hom_coincidence_probability(FLOAT)
+    assert type(prob) is float
+    assert abs(float(hom_coincidence_probability()) - prob) <= 1e-12
 
 
-@criterion(9, "property suites: unitarity, field axioms, table normalization")
+@criterion(9, "property suites: unitarity, table normalization")
 def test_criterion_9():
-    rng = random.Random(101)
-    # unitarity: inner products preserved on 1000 random state pairs
-    for _ in range(1000):
-        a = random_state(rng)
-        b = random_state(rng)
-        a2 = apply_bs(a, MINUS, (u, v), (c, d))
-        b2 = apply_bs(b, MINUS, (u, v), (c, d))
-        assert inner(a2, b2) == inner(a, b)
-    # field axioms on 1000 random scalar triples
-    def rand_scalar():
-        return ExactScalar(*[Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-                             for _ in range(4)])
-    one = ExactScalar(1)
-    for _ in range(1000):
-        x, y, z = rand_scalar(), rand_scalar(), rand_scalar()
-        assert (x + y) + z == x + (y + z)
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
-        if x != ZERO:
-            assert x * x.inverse() == one
+    # unitarity: inner products and norms preserved on 1000 random state
+    # pairs through the second splitter of each arm
+    for arm, seed in ((PLUS, 11), (MINUS, 101)):
+        rng = random.Random(seed)
+        for _ in range(1000):
+            a = random_state(rng)
+            b = random_state(rng)
+            a2 = apply_bs(a, arm, (u, v), (c, d))
+            b2 = apply_bs(b, arm, (u, v), (c, d))
+            assert inner(a2, b2) == inner(a, b)
+            assert a2.norm_sq() == a.norm_sq()
     # table normalization across the p grid and all four layouts
     grid = [(Fraction(0), EXACT), (Fraction(1, 4), FLOAT),
             (Fraction(1, 2), EXACT), (Fraction(1), EXACT)]
@@ -191,3 +187,17 @@ def test_criterion_9():
                 else:
                     assert abs(total - 1.0) <= 1e-12
                     assert abs(cond_total - 1.0) <= 1e-12
+
+
+@criterion(9, "property suites: field axioms on 1000 random scalar triples")
+@settings(max_examples=1000, deadline=None)
+@given(scalars, scalars, scalars)
+def test_criterion_9_field_axioms(x, y, z):
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + ZERO == x
+    assert x * ONE == x
+    if x != ZERO:
+        assert x * x.inverse() == ONE

@@ -13,15 +13,11 @@ from hardysim import amplitude as amp
 from hardysim.amplitude import (FLOAT_TOL, ExactScalar, I, INV_SQRT2, ONE, ZERO,
                                 exact_sqrt, real_part)
 from hardysim.errors import ConfigError, UnrepresentableError
+from helpers import scalars
 
 
 def frac(n, d=1):
     return Fraction(n, d)
-
-
-small_fracs = st.fractions(min_value=-8, max_value=8, max_denominator=8)
-scalars = st.builds(ExactScalar, small_fracs, small_fracs, small_fracs,
-                    small_fracs)
 
 
 class TestArithmetic:
@@ -137,19 +133,6 @@ class TestSerialization:
         for text in ("1/0", "2 + -1/00*i"):  # Fraction() alone divides by zero
             with pytest.raises(ValueError, match="malformed"):
                 ExactScalar.from_string(text)
-
-
-@settings(max_examples=1000, deadline=None)
-@given(scalars, scalars, scalars)
-def test_field_axioms(a, b, c):
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a * b == b * a
-    assert a * (b + c) == a * b + a * c
-    assert a + ZERO == a
-    assert a * ONE == a
-    if a != ZERO:
-        assert a * a.inverse() == ONE
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,9 +10,8 @@ from hardysim.amplitude import FLOAT, I, INV_SQRT2, ONE
 from hardysim.bosonic import (distinguishable_coincidence_probability,
                               hom_coincidence_probability, splitter_output)
 from hardysim.errors import ModeAliasingError, SimulationError
-from hardysim.state import BasisKet, PathLabel
-
-S, u, v, c, d = PathLabel
+from hardysim.state import BasisKet
+from helpers import S, c, d, u, v
 
 SYMMETRIC = (BasisKet(u, v), BasisKet(v, u))
 
@@ -22,12 +21,6 @@ def coincidence(ket):
 
 
 class TestApplyBs:
-    def test_hom_bunching(self):
-        out = splitter_output(SYMMETRIC)
-        # i(|c,c> + |d,d>) for the input |u,v> + |v,u>, squared norm 2 in and out
-        assert out.amps == {BasisKet(c, c): I, BasisKet(d, d): I}
-        assert out.norm_sq() == 2
-
     def test_single_photon_matches_one_particle_bs(self):
         # i on reflection: u -> (c + i d)/sqrt2, v -> (i c + d)/sqrt2
         out = splitter_output([BasisKet(u, S)])
@@ -83,14 +76,6 @@ class TestPostselect:
 
 
 class TestHom:
-    def test_coincidence_probability_zero(self):
-        prob = hom_coincidence_probability()
-        assert prob == 0 and type(prob) is Fraction
-
-    def test_float_backend_agrees(self):
-        prob = hom_coincidence_probability(FLOAT)
-        assert abs(prob) <= 1e-12 and type(prob) is float
-
     def test_unknown_backend_raises(self):
         with pytest.raises(SimulationError):
             hom_coincidence_probability("symbolic")

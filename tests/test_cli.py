@@ -16,8 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hardysim
-from hardysim import hardy
+from hardysim import hardy, optics
 from hardysim.cli import CSV_FIELDS, P_EXPONENT_MAX, P_TEXT_MAX_CHARS, main
+
+SRC = os.path.dirname(os.path.dirname(hardysim.__file__))
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def write_config(tmp_path, **fields):
@@ -414,22 +417,6 @@ class TestExports:
 
 
 class TestTable:
-    def test_summary_lines(self, capsys):
-        assert main(["table"]) == 0
-        out = capsys.readouterr().out
-        assert "P(c+,c-|out,out) = 0" in out
-        assert "P(d+,d-|in,out) = 0" in out
-        assert "P(d+,d-|out,in) = 0" in out
-        assert "P(d+,d-|in,in) = 1/12 (cond), 1/16 (uncond)" in out
-        assert "gamma probability = 1/4" in out
-
-    def test_deterministic_output(self, capsys):
-        main(["table"])
-        first = capsys.readouterr().out
-        main(["table"])
-        second = capsys.readouterr().out
-        assert first == second
-
     def test_runs_four_scenarios(self, capsys, monkeypatch):
         calls = []
         run_scenario = hardy.run_scenario
@@ -443,22 +430,18 @@ class TestTable:
 
 
 class TestReports:
-    def test_lhv_audit(self, capsys):
-        assert main(["lhv-audit"]) == 0
-        out = capsys.readouterr().out
-        assert "no local model exists" in out
-        assert out.count("ELIMINATED") + out.count("survives") == 16
-
-    def test_hom(self, capsys):
-        assert main(["hom"]) == 0
-        out = capsys.readouterr().out
-        assert "P(coincidence) = 0" in out
-
-    def test_reports_deterministic(self, capsys):
-        main(["lhv-audit"])
-        first = capsys.readouterr().out
-        main(["lhv-audit"])
-        assert first == capsys.readouterr().out
+    @pytest.mark.parametrize("report", ["table", "lhv-audit", "hom"])
+    def test_in_process_runs_equal_the_golden(self, capsys, report):
+        # the first run builds the memoized ket maps and the second reuses
+        # them; both print golden/<report>.txt
+        optics.bs_ket_map.cache_clear()
+        optics.relabel_ket_map.cache_clear()
+        with open(os.path.join(GOLDEN, f"{report}.txt"),
+                  encoding="utf-8") as fh:
+            golden = fh.read()
+        for _ in range(2):
+            assert main([report]) == 0
+            assert capsys.readouterr().out == golden
 
 
 class TestUsage:
@@ -480,10 +463,6 @@ class TestUsage:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err) < 300
-
-
-SRC = os.path.dirname(os.path.dirname(hardysim.__file__))
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 class TestImport:

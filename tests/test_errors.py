@@ -5,16 +5,9 @@ from fractions import Fraction
 import pytest
 
 from hardysim.errors import ECHO_MAX_CHARS, QUOTE_MAX_BITS, echo
+from helpers import deep_list
 
 TOO_LONG = "(too long to quote)"
-
-
-def deep_list(depth=100_000):
-    """A list nested past any interpreter's recursion limit for repr()."""
-    value = []
-    for _ in range(depth):
-        value = [value]
-    return value
 
 
 @pytest.mark.parametrize("value, quoted", [

@@ -88,13 +88,6 @@ class TestAudit:
                                       (setting, outcome, Fraction(0))))
         assert not verdict.contradiction
 
-    def test_removing_any_single_zero_flips_the_verdict(self):
-        cs = quantum_constraints(full_table())
-        for i in range(len(cs.zero_events)):
-            reduced = cs.zero_events[:i] + cs.zero_events[i + 1:]
-            verdict = audit(ConstraintSet(reduced, cs.positive_event))
-            assert not verdict.contradiction
-
     def test_monotone_in_zero_events(self):
         cs = quantum_constraints(full_table())
         extra = cs.zero_events + [(("in", "in"), ("c", "d"))]
@@ -123,4 +116,3 @@ class TestReport:
         assert len(verdict.eliminations) + len(verdict.surviving_strategies) == 16
         for strat, (setting, outcome) in verdict.eliminations.items():
             assert strat.outcome(setting) == outcome
-

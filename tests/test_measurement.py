@@ -1,6 +1,5 @@
 """Knowledge projection and the annihilation channel."""
 
-import numbers
 import random
 from fractions import Fraction
 
@@ -14,42 +13,14 @@ from hardysim.measurement import (DOOMED, AnnihilationChannel,
                                   annihilation_channel, apply_channel,
                                   project_knowledge)
 from hardysim.optics import apply_bs1_pair
-from hardysim.state import (ABSORBED, BasisKet, DensityMatrix, PathLabel,
-                            StateVector, pure_to_density)
-from test_state import (density_times, eq3_state, eq6_state, no_photon_entries,
-                        random_hermitian, scaled)
-
-S, u, v, c, d = PathLabel
-
-
-def ket(plus, minus):
-    return BasisKet(plus, minus)
-
+from hardysim.state import (ABSORBED, BasisKet, DensityMatrix, StateVector,
+                            pure_to_density)
+from helpers import (EXACT_SWEEP_PS, UnreadableReal, density_times, eq3_state,
+                     eq6_state, ket, no_photon_entries, random_hermitian, u, v)
 
 PARTICLE_KETS = [ket(v, v), ket(v, u), ket(u, v), ket(u, u)]
 
-# The benchmark's exact sweep: p whose sqrt(p) and sqrt(1-p) lie in Q(sqrt2).
-EXACT_SWEEP_PS = [Fraction(p) for p in ("0", "1", "1/2", "9/25", "16/25",
-                                        "1/9", "8/9", "1/50", "49/50")]
-
 NOT_REAL = [True, False, "1/2", None, "abc", 0.5 + 0j]
-
-
-class UnreadableReal:
-    """A registered real that compares with 0 and 1 but that Fraction()
-    cannot read, as numpy.float32 is."""
-
-    def __le__(self, other):
-        return True
-
-    def __ge__(self, other):
-        return True
-
-    def __repr__(self):
-        return "UnreadableReal()"
-
-
-numbers.Real.register(UnreadableReal)
 
 
 def certain():
@@ -58,13 +29,6 @@ def certain():
 
 
 class TestProjectKnowledge:
-    def test_eq3_projects_to_eq6(self):
-        projected, survival = project_knowledge(eq3_state(), certain())
-        assert survival == Fraction(3, 4)
-        # eq3's amplitudes on eq6's kets, {1, i, i}/2: the projection
-        # rescales nothing, so every exact amplitude is fixed
-        assert projected.amps == scaled(eq6_state(), ONE / 2).amps
-
     def test_already_inside_kept(self):
         projected, survival = project_knowledge(eq6_state(), certain())
         assert survival == 1
@@ -198,38 +162,6 @@ class TestApplyChannel:
         out = apply_channel(rho, annihilation_channel(Fraction(0)))
         assert out.entries == rho.entries
 
-    def test_p_one_factorizes_through_projection(self):
-        # the channel's no-photon block is the projected state's density
-        # matrix weighted by its survival probability
-        rho = pure_to_density(eq3_state())
-        out = apply_channel(rho, annihilation_channel(Fraction(1)))
-        projected, survival = project_knowledge(eq3_state(), certain())
-        assert survival == Fraction(3, 4)
-        assert no_photon_entries(out) == density_times(projected, survival)
-        assert out.entries[(ABSORBED, ABSORBED)] == ExactScalar(Fraction(1, 4))
-
-    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 2), Fraction(1)])
-    def test_trace_preserved_exactly(self, p):
-        rho = pure_to_density(eq3_state())
-        out = apply_channel(rho, annihilation_channel(p))
-        assert out.diagonal_probability(lambda k: True) == 1
-
-    def test_trace_preserved_float_quarter(self):
-        sv = apply_bs1_pair(FLOAT)
-        out = apply_channel(pure_to_density(sv),
-                            annihilation_channel(Fraction(1, 4), FLOAT))
-        assert abs(out.diagonal_probability(lambda k: True) - 1.0) <= 1e-12
-
-    def test_half_p_mixes(self):
-        rho = pure_to_density(eq3_state())
-        out = apply_channel(rho, annihilation_channel(Fraction(1, 2)))
-        assert out.diagonal_probability(lambda k: True) == 1
-        assert out.purity() < 1
-        # particle sub-block of the unit-trace output: purity < 1 as well
-        particle = DensityMatrix(no_photon_entries(out))
-        assert particle.diagonal_probability(lambda k: True) == Fraction(7, 8)
-        assert particle.purity() == Fraction(49, 64)
-
     def test_survival_is_one_minus_p_over_four(self):
         # the doomed ket carries weight 1/4, so survival = 1 - p/4
         # 9/25 works exactly: sqrt(9/25) = 3/5 and sqrt(16/25) = 4/5
@@ -237,7 +169,6 @@ class TestApplyChannel:
             rho = pure_to_density(eq3_state())
             out = apply_channel(rho, annihilation_channel(p))
             assert out.diagonal_probability(lambda k: k.is_absorbed) == p / 4
-
 
     def test_existing_photon_entry_is_kept(self):
         # half the weight already in the sink; the channel at p = 1/2 adds
@@ -326,9 +257,3 @@ class TestConditioning:
         assert out.entries == {(ABSORBED, ABSORBED): ONE}
         with pytest.raises(AnnihilatedError):
             project_knowledge(sv, certain())
-
-    def test_matches_eq6_density(self):
-        out = apply_channel(pure_to_density(eq3_state()), certain())
-        assert no_photon_entries(out) == density_times(eq6_state(),
-                                                       Fraction(3, 4))
-

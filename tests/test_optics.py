@@ -10,14 +10,8 @@ from hardysim.amplitude import EXACT, ExactScalar, I, INV_SQRT2, ONE
 from hardysim.errors import ModeAliasingError
 from hardysim.optics import (MINUS, PLUS, apply_bs, apply_bs1_pair,
                              bs_ket_map, relabel_ket_map)
-from hardysim.state import ABSORBED, BasisKet, PathLabel, StateVector
-from test_state import eq3_state, eq6_state, inner, random_state
-
-S, u, v, c, d = PathLabel
-
-
-def ket(plus, minus):
-    return BasisKet(plus, minus)
+from hardysim.state import ABSORBED, PathLabel, StateVector
+from helpers import S, c, d, eq3_state, eq6_state, ket, random_state, u, v
 
 
 class TestApplyBs:
@@ -34,16 +28,6 @@ class TestApplyBs:
             assert out_u.amps == {mk(c): INV_SQRT2, mk(d): I * INV_SQRT2}
             out_v = apply_bs(StateVector({mk(v): ONE}), arm, (u, v), (c, d))
             assert out_v.amps == {mk(c): I * INV_SQRT2, mk(d): INV_SQRT2}
-
-    def test_unitarity_on_random_states(self):
-        rng = random.Random(11)
-        for _ in range(1000):
-            a = random_state(rng)
-            b = random_state(rng)
-            a2 = apply_bs(a, PLUS, (u, v), (c, d))
-            b2 = apply_bs(b, PLUS, (u, v), (c, d))
-            assert inner(a2, b2) == inner(a, b)
-            assert a2.norm_sq() == a.norm_sq()
 
     def test_inverse_composition(self):
         rng = random.Random(13)
@@ -206,16 +190,6 @@ class TestEveryImage:
 
 
 class TestApplyBs1Pair:
-    def test_eq3_amplitudes(self):
-        out = apply_bs1_pair()
-        half = ExactScalar(Fraction(1, 2))
-        assert out.amps == {
-            ket(v, v): half,
-            ket(v, u): I * half,
-            ket(u, v): I * half,
-            ket(u, u): -half,
-        }
-
     def test_norm_is_one(self):
         assert apply_bs1_pair().norm_sq() == 1
 

@@ -8,69 +8,13 @@ import pytest
 from hardysim import amplitude as amp
 from hardysim.amplitude import EXACT, ExactScalar, I, ONE, real_part
 from hardysim.errors import EmptyStateError, ModeAliasingError, SimulationError
-from hardysim.measurement import annihilation_channel, apply_channel
+from hardysim.measurement import annihilation_channel
 from hardysim.optics import (BS2_IN, BS2_OUT, MINUS, PLUS, apply_bs1_pair,
                              bs_ket_map, relabel_ket_map)
 from hardysim.state import (ABSORBED, BasisKet, DensityMatrix, PathLabel,
                             StateVector, pure_to_density)
-
-S, u, v, c, d = PathLabel
-
-
-def ket(plus, minus):
-    return BasisKet(plus, minus)
-
-
-def eq3_state():
-    half = ExactScalar(Fraction(1, 2))
-    return StateVector({
-        ket(v, v): half,
-        ket(v, u): I * half,
-        ket(u, v): I * half,
-        ket(u, u): -half,
-    })
-
-
-def eq6_state():
-    return StateVector({ket(v, v): ONE, ket(v, u): I, ket(u, v): I})
-
-
-def scaled(sv, factor):
-    """sv with every amplitude multiplied by factor."""
-    return StateVector({k: a * factor for k, a in sv.amps.items()}, sv.backend)
-
-
-def no_photon_entries(rho):
-    """rho's entries off the photon sink's row and column."""
-    return {key: val for key, val in rho.entries.items() if ABSORBED not in key}
-
-
-def density_times(sv, weight):
-    """pure_to_density(sv).entries, each multiplied by weight."""
-    return {key: val * weight for key, val in pure_to_density(sv).entries.items()}
-
-
-def inner(a, b):
-    """<a|b>, summed over the kets both states hold."""
-    total = amp.ZERO
-    for k, x in a.amps.items():
-        if k in b.amps:
-            total = total + x.conjugate() * b.amps[k]
-    return total
-
-
-def random_state(rng, backend=EXACT, kets=None):
-    if kets is None:
-        kets = [ket(a, b) for a in (u, v) for b in (u, v)]
-    amps = {}
-    for k in kets:
-        coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-                  for _ in range(4)]
-        x = ExactScalar(*coeffs)
-        amps[k] = x if backend == EXACT else x.to_complex()
-    sv = StateVector(amps, backend)
-    return sv if not sv.is_zero() else StateVector(
-        {kets[0]: amp.backend(backend).one}, backend)
+from helpers import (S, c, d, eq3_state, eq6_state, ket, random_hermitian,
+                     random_state, u, v)
 
 
 @pytest.mark.parametrize("name", ["symbolic", "EXACT"])
@@ -104,9 +48,6 @@ class TestBasisKet:
 
 
 class TestProbability:
-    def test_eq3_uu(self):
-        assert eq3_state().probability(lambda k: k == ket(u, u)) == Fraction(1, 4)
-
     def test_eq6_has_no_uu(self):
         assert eq6_state().probability(lambda k: k == ket(u, u)) == 0
         assert ket(u, u) not in eq6_state().amps
@@ -165,11 +106,6 @@ class TestDensity:
         assert rho.diagonal_probability(lambda k: True) == 1
         assert rho.purity() == Fraction(1, 2)
 
-    def test_kraus_output_at_half_is_mixed(self):
-        rho = pure_to_density(apply_bs1_pair())
-        out = apply_channel(rho, annihilation_channel(Fraction(1, 2)))
-        assert out.purity() < 1
-
     def test_diagonal_matches_probability(self):
         sv = eq3_state()
         rho = pure_to_density(sv)
@@ -220,25 +156,6 @@ def dense_conjugation(rho, ket_map, basis):
             if total != amp.ZERO:
                 out[(a2, b2)] = total
     return out
-
-
-def random_hermitian(rng, basis):
-    """An exact Hermitian matrix over basis with small random Q(i, sqrt2)
-    entries, about a third of them zero."""
-    def coeff():
-        return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-
-    entries = {}
-    for i, a in enumerate(basis):
-        for b in basis[i:]:
-            if rng.random() < 1 / 3:
-                continue
-            if a == b:
-                entries[(a, a)] = ExactScalar(coeff(), 0, coeff(), 0)
-            else:
-                x = ExactScalar(coeff(), coeff(), coeff(), coeff())
-                entries[(a, b)], entries[(b, a)] = x, x.conjugate()
-    return DensityMatrix(entries)
 
 
 class TestApplyKetMapOracle:

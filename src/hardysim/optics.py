@@ -50,11 +50,25 @@ def _arm_ket_map(backend, arm: str, table):
     return functools.cache(image)
 
 
-@functools.cache
+def _per_backend(build):
+    """Memoize build per (backend, other arguments), with the backend resolved
+    first: an unknown or unhashable one raises ConfigError, not the cache's
+    TypeError, and every spelling of a backend ("exact", EXACT, the default)
+    shares one entry. ``cache_clear`` empties the memo."""
+    memo = functools.cache(build)
+
+    @functools.wraps(build)
+    def lookup(backend=EXACT, *args):
+        return memo(amp.backend(backend), *args)
+
+    lookup.cache_clear = memo.cache_clear
+    return lookup
+
+
+@_per_backend
 def bs_ket_map(backend: str, arm: str, in_pair: Tuple[PathLabel, PathLabel],
                out_pair: Tuple[PathLabel, PathLabel]):
     """Linear ket map of one beam splitter, memoized per (backend, element)."""
-    backend = amp.backend(backend)
     s = backend.inv_sqrt2
     i_s = backend.i * s
     first, second = out_pair
@@ -69,20 +83,23 @@ def apply_bs(sv: StateVector, arm: str, in_pair: Tuple[PathLabel, PathLabel],
     return sv.apply_ket_map(bs_ket_map(sv.backend, arm, in_pair, out_pair))
 
 
-@functools.cache
+@_per_backend
 def relabel_ket_map(backend: str, arm: str):
     """The removed second beam splitter on one arm (u -> c, v -> d),
     memoized like ``bs_ket_map``."""
-    backend = amp.backend(backend)
     return _arm_ket_map(backend, arm, {label: ((out, backend.one),)
                                        for label, out in zip(BS2_IN, BS2_OUT)})
 
 
+@_per_backend
 def apply_bs1_pair(backend: str = EXACT) -> StateVector:
     """The source |S+>|S-> sent through both first beam splitters
-    (S -> v, u per arm)."""
-    sv = StateVector({BasisKet(PathLabel.S, PathLabel.S): amp.backend(backend).one},
-                     backend)
+    (S -> v, u per arm): the prepared state every scenario starts from.
+
+    Built once per backend per process and shared, memoized like
+    ``bs_ket_map``: every call returns the same StateVector, so callers must
+    not change it."""
+    sv = StateVector({BasisKet(PathLabel.S, PathLabel.S): backend.one}, backend)
     for arm in (PLUS, MINUS):
         sv = apply_bs(sv, arm, (PathLabel.S, PathLabel.S),
                       (PathLabel.v, PathLabel.u))

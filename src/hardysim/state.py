@@ -66,12 +66,15 @@ KetMap = Callable[[BasisKet], Iterable[Tuple[BasisKet, object]]]
 
 class StateVector:
     """Finite map ket -> amplitude with an exact squared norm, summed on first
-    read and cached, so a state that is only passed on never sums it."""
+    read and cached, so a state that is only passed on never sums it. Its
+    density matrix is kept the same way (``pure_to_density``); both caches
+    assume that a state is not changed once built."""
 
     def __init__(self, amps: Dict[BasisKet, object], backend: str = EXACT):
         self.backend = amp.backend(backend)
         self.amps = self.backend.prune(amps)
         self._norm = None
+        self._density = None
 
     def _norm_sq(self):
         """Squared norm in the amplitude type (ExactScalar or complex)."""
@@ -172,7 +175,11 @@ class DensityMatrix:
 
 
 def pure_to_density(sv: StateVector) -> DensityMatrix:
-    """rho = |psi><psi| / <psi|psi>; unit trace, purity 1."""
+    """rho = |psi><psi| / <psi|psi>; unit trace, purity 1. Built on the first
+    call and kept on sv, like its squared norm, so every call on one state
+    returns the same DensityMatrix; callers must not change it."""
+    if sv._density is not None:
+        return sv._density
     if sv.is_zero():
         raise EmptyStateError("empty state")
     inv = sv.backend.one / sv.norm_sq()
@@ -181,4 +188,5 @@ def pure_to_density(sv: StateVector) -> DensityMatrix:
     for a, va in sv.amps.items():
         for b, cb in bras:
             entries[(a, b)] = va * cb
-    return DensityMatrix(entries, sv.backend)
+    sv._density = DensityMatrix(entries, sv.backend)
+    return sv._density

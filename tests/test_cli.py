@@ -432,10 +432,11 @@ class TestTable:
 class TestReports:
     @pytest.mark.parametrize("report", ["table", "lhv-audit", "hom"])
     def test_in_process_runs_equal_the_golden(self, capsys, report):
-        # the first run builds the memoized ket maps and the second reuses
-        # them; both print golden/<report>.txt
+        # the first run builds the memoized ket maps and prepared state and
+        # the second reuses them; both print golden/<report>.txt
         optics.bs_ket_map.cache_clear()
         optics.relabel_ket_map.cache_clear()
+        optics.apply_bs1_pair.cache_clear()
         with open(os.path.join(GOLDEN, f"{report}.txt"),
                   encoding="utf-8") as fh:
             golden = fh.read()

@@ -15,7 +15,8 @@ from hardysim.measurement import (annihilation_channel, apply_channel,
                                   check_reaction_prob)
 from hardysim.state import DensityMatrix, StateVector, pure_to_density
 from helpers import (EXACT_SWEEP_PS, UnreadableReal, c, d, deep_list,
-                     density_times, eq6_state, ket, no_photon_entries, scaled)
+                     density_times, eq3_state, eq6_state, ket, no_photon_entries,
+                     scaled)
 
 
 def exact_sweep_text() -> str:
@@ -318,18 +319,22 @@ class TestWorkBudget:
     the endpoint BS2 stage, whose norm nothing reads, no longer sum it; that
     took it from 129.31 to 121.58. The channel adds p rho(DOOMED, DOOMED) to
     the sink instead of forming sqrt(p) and multiplying by it and its
-    conjugate, which took it from 121.58 to 120.58. Every scalar, reduced by
-    a gcd or a sign flip that needs none, is allocated through
-    ``amplitude._new_scalar``, so that is where they are counted.
-    The memoized optical ket maps are emptied first, so the count includes
-    building them and does not depend on which tests ran before.
+    conjugate, which took it from 121.58 to 120.58. The prepared state after
+    both first splitters, and its density matrix, are built once per backend
+    and shared by every scenario, which took it from 120.58 to 91.97. Every
+    scalar, reduced by a gcd or a sign flip that needs none, is allocated
+    through ``amplitude._new_scalar``, so that is where they are counted.
+    The memoized optical ket maps and prepared state are emptied first, so
+    the count includes building them and does not depend on which tests ran
+    before.
     """
 
-    BUDGET = 121
+    BUDGET = 92
 
     def test_exact_sweep_constructions_per_scenario(self, monkeypatch):
         optics.bs_ket_map.cache_clear()
         optics.relabel_ket_map.cache_clear()
+        optics.apply_bs1_pair.cache_clear()
         made = 0
         new_scalar = amplitude._new_scalar
 
@@ -345,6 +350,37 @@ class TestWorkBudget:
         for cfg in scenarios:
             run_scenario(cfg)
         assert made / len(scenarios) <= self.BUDGET
+
+
+class TestSharedPreparedState:
+    """Every scenario starts from apply_bs1_pair's one state per backend and
+    from that state's one density matrix, so no scenario may change either.
+    exact_sweep's 36 scenarios and 8 float ones run in two orders; then the
+    shared objects are checked, and every table against one built from a
+    freshly prepared state."""
+
+    FLOAT_PS = [k / 1000 for k in random.Random(27).sample(range(1, 1000), 2)]
+    SCENARIOS = [ScenarioConfig(plus, minus, p, backend)
+                 for backend, ps in ((EXACT, EXACT_SWEEP_PS), (FLOAT, FLOAT_PS))
+                 for p in ps for plus in (False, True) for minus in (False, True)]
+
+    @pytest.mark.parametrize("step", [1, -1], ids=["forward", "reversed"])
+    def test_no_scenario_changes_the_shared_state(self, step):
+        scenarios = self.SCENARIOS[::step]
+        tables = [run_scenario(cfg)[1] for cfg in scenarios]
+        for backend in (EXACT, FLOAT):
+            sv = optics.apply_bs1_pair(backend)
+            assert optics.apply_bs1_pair(backend) is sv
+            rho = pure_to_density(sv)
+            assert pure_to_density(sv) is rho
+            fresh = StateVector(dict(sv.amps), backend)
+            assert rho.entries == pure_to_density(fresh).entries
+        shared = optics.apply_bs1_pair(EXACT)
+        assert shared.amps == eq3_state().amps
+        assert shared.norm_sq() == 1
+        for cfg, table in zip(scenarios, tables):
+            optics.apply_bs1_pair.cache_clear()
+            assert run_scenario(cfg)[1] == table
 
 
 def is_hermitian(rho) -> bool:

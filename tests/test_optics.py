@@ -7,7 +7,7 @@ import pytest
 
 from hardysim import optics
 from hardysim.amplitude import EXACT, ExactScalar, I, INV_SQRT2, ONE
-from hardysim.errors import ModeAliasingError
+from hardysim.errors import ConfigError, ModeAliasingError
 from hardysim.optics import (MINUS, PLUS, apply_bs, apply_bs1_pair,
                              bs_ket_map, relabel_ket_map)
 from hardysim.state import ABSORBED, PathLabel, StateVector
@@ -138,8 +138,20 @@ class TestMemoizedKetMaps:
         assert (bs_ket_map("exact", PLUS, (u, v), (c, d))
                 is bs_ket_map(EXACT, PLUS, (u, v), (c, d)))
         assert relabel_ket_map("exact", MINUS) is relabel_ket_map(EXACT, MINUS)
+        assert apply_bs1_pair() is apply_bs1_pair("exact") is apply_bs1_pair(EXACT)
         ket_map = bs_ket_map(EXACT, PLUS, (u, v), (c, d))
         assert ket_map(ket(v, S)) is ket_map(ket(v, S))
+
+    @pytest.mark.parametrize("backend", [["x"], {}, "symbolic"], ids=repr)
+    @pytest.mark.parametrize("build", [
+        lambda backend: bs_ket_map(backend, PLUS, (u, v), (c, d)),
+        lambda backend: relabel_ket_map(backend, PLUS),
+        apply_bs1_pair,
+    ], ids=["bs", "relabel", "bs1-pair"])
+    def test_a_bad_backend_is_a_config_error(self, build, backend):
+        # resolved before the memo hashes it, so never the cache's TypeError
+        with pytest.raises(ConfigError):
+            build(backend)
 
 
 # Every element's image of one ket, written out by hand, by the label on

@@ -91,13 +91,16 @@ class OutcomeTable:
 
 
 def _bs2_stage(obj, present_plus: bool, present_minus: bool):
-    """Second beam splitters (or relabelings) on a state or density matrix."""
+    """Second beam splitters on a state or density matrix; a removed one
+    renames kets through its relabeling."""
     backend = obj.backend
     for arm, present in ((optics.PLUS, present_plus),
                          (optics.MINUS, present_minus)):
-        ket_map = (optics.bs_ket_map(backend, arm, optics.BS2_IN, optics.BS2_OUT)
-                   if present else optics.relabel_ket_map(backend, arm))
-        obj = obj.apply_ket_map(ket_map)
+        if present:
+            obj = obj.apply_ket_map(optics.bs_ket_map(
+                backend, arm, optics.BS2_IN, optics.BS2_OUT))
+        else:
+            obj = obj.rename(optics.relabel_ket_map(backend, arm))
     return obj
 
 

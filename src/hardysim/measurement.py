@@ -91,7 +91,12 @@ def project_knowledge(sv: StateVector,
     """
     if sv.is_zero():
         raise EmptyStateError("empty state")
-    kept = sv.apply_ket_map(ch.pass_map())
+    [(_, s)] = ch.pass_map()(DOOMED)
+    amps = dict(sv.amps)
+    doomed = amps.get(DOOMED)
+    if doomed is not None:
+        amps[DOOMED] = doomed * s
+    kept = StateVector(amps, sv.backend)
     survival = sv.backend.ratio(kept._norm_sq(), sv._norm_sq())
     if survival == 0:
         raise AnnihilatedError("state annihilated with certainty")
@@ -99,20 +104,22 @@ def project_knowledge(sv: StateVector,
 
 
 def apply_channel(rho: DensityMatrix, ch: AnnihilationChannel) -> DensityMatrix:
-    """rho -> K_pass rho K_pass^dagger + K_abs rho K_abs^dagger. K_abs has one
-    image, sqrt(p) |sink> of DOOMED, so it adds p rho(DOOMED, DOOMED), with
-    p in the entry's scalar type, to the sink. K_pass is diagonal: it scales
-    entry (a, b) by s(a) conj(s(b)), each ket's s(k) read off pass_map once."""
-    pass_map = ch.pass_map()
-    ket_side, bra_side = {}, {}
-    for ket in {k for pair in rho.entries for k in pair}:
-        [(_, s)] = pass_map(ket)
-        ket_side[ket], bra_side[ket] = s, s.conjugate()
-    entries = {(a, b): (val * ket_side[a]) * bra_side[b]
-               for (a, b), val in rho.entries.items()}
+    """rho -> K_pass rho K_pass^dagger + K_abs rho K_abs^dagger. K_pass
+    scales only DOOMED, by s read off pass_map: the doomed row by s, the
+    doomed column by conj(s), their corner by both; every other entry is
+    kept as it is. K_abs has one image, sqrt(p) |sink> of DOOMED, so it adds
+    p rho(DOOMED, DOOMED), with p in the entry's scalar type, to the sink."""
+    [(_, s)] = ch.pass_map()(DOOMED)
+    s_bar = s.conjugate()
+    entries = dict(rho.entries)
+    for (a, b), val in rho.entries.items():
+        if a == DOOMED:
+            entries[(a, b)] = val * s * s_bar if b == DOOMED else val * s
+        elif b == DOOMED:
+            entries[(a, b)] = val * s_bar
     doomed = rho.entries.get((DOOMED, DOOMED))
     if doomed is not None:
-        term = doomed * type(doomed)(ch.p)
+        term = doomed * ch.p
         cur = entries.get((ABSORBED, ABSORBED))
         entries[(ABSORBED, ABSORBED)] = term if cur is None else cur + term
     return DensityMatrix(entries, rho.backend)

@@ -16,7 +16,7 @@ from typing import Tuple
 
 from . import amplitude as amp
 from .amplitude import EXACT
-from .errors import ModeAliasingError
+from .errors import ConfigError, ModeAliasingError, echo
 from .state import BasisKet, PathLabel, StateVector
 
 PLUS = "plus"
@@ -50,22 +50,40 @@ def _arm_ket_map(backend, arm: str, table):
     return functools.cache(image)
 
 
-def _per_backend(build):
-    """Memoize build per (backend, other arguments), with the backend resolved
-    first: an unknown or unhashable one raises ConfigError, not the cache's
-    TypeError, and every spelling of a backend ("exact", EXACT, the default)
-    shares one entry. ``cache_clear`` empties the memo."""
-    memo = functools.cache(build)
-
-    @functools.wraps(build)
-    def lookup(backend=EXACT, *args):
-        return memo(amp.backend(backend), *args)
-
-    lookup.cache_clear = memo.cache_clear
-    return lookup
+def _check_arm(arm) -> None:
+    if arm not in (PLUS, MINUS):
+        raise ConfigError(f"unknown arm {echo(arm)}: expected "
+                          f"{PLUS!r} or {MINUS!r}")
 
 
-@_per_backend
+def _check_label_pair(pair) -> None:
+    if not (type(pair) is tuple and len(pair) == 2
+            and type(pair[0]) is PathLabel and type(pair[1]) is PathLabel):
+        raise ConfigError(f"{echo(pair)} is not a tuple of two path labels")
+
+
+def _per_backend(*checks):
+    """Memoize a builder per (backend, other arguments). Before the lookup
+    the backend is resolved and each other argument passes its check, in
+    order: an unknown or unhashable value raises ConfigError, not the
+    cache's TypeError, and every spelling of a backend ("exact", EXACT, the
+    default) shares one entry. ``cache_clear`` empties the memo."""
+    def wrap(build):
+        memo = functools.cache(build)
+
+        @functools.wraps(build)
+        def lookup(backend=EXACT, *args):
+            for check, arg in zip(checks, args):
+                check(arg)
+            return memo(amp.backend(backend), *args)
+
+        lookup.cache_clear = memo.cache_clear
+        return lookup
+
+    return wrap
+
+
+@_per_backend(_check_arm, _check_label_pair, _check_label_pair)
 def bs_ket_map(backend: str, arm: str, in_pair: Tuple[PathLabel, PathLabel],
                out_pair: Tuple[PathLabel, PathLabel]):
     """Linear ket map of one beam splitter, memoized per (backend, element)."""
@@ -83,7 +101,7 @@ def apply_bs(sv: StateVector, arm: str, in_pair: Tuple[PathLabel, PathLabel],
     return sv.apply_ket_map(bs_ket_map(sv.backend, arm, in_pair, out_pair))
 
 
-@_per_backend
+@_per_backend(_check_arm)
 def relabel_ket_map(backend: str, arm: str):
     """The removed second beam splitter on one arm (u -> c, v -> d),
     memoized like ``bs_ket_map``."""
@@ -91,7 +109,7 @@ def relabel_ket_map(backend: str, arm: str):
                                        for label, out in zip(BS2_IN, BS2_OUT)})
 
 
-@_per_backend
+@_per_backend()
 def apply_bs1_pair(backend: str = EXACT) -> StateVector:
     """The source |S+>|S-> sent through both first beam splitters
     (S -> v, u per arm): the prepared state every scenario starts from.

@@ -101,6 +101,20 @@ class StateVector:
                 out[k2] = a * c if cur is None else cur + a * c
         return StateVector(out, self.backend)
 
+    def rename(self, ket_map: KetMap) -> "StateVector":
+        """The state under a relabeling: ket_map sends each ket to one ket
+        with coefficient 1, and no two live kets to one. So each amplitude
+        moves as it is, with no product, merge or prune, and the squared
+        norm carries over."""
+        amps: Dict[BasisKet, object] = {}
+        for k, a in self.amps.items():
+            [(k2, _)] = ket_map(k)
+            amps[k2] = a
+        out = object.__new__(StateVector)
+        out.backend, out.amps = self.backend, amps
+        out._norm, out._density = self._norm, None
+        return out
+
     def probability(self, predicate: Callable[[BasisKet], bool]):
         """Born probability of the predicate; exact Fraction where possible."""
         if self.is_zero():
@@ -169,6 +183,21 @@ class DensityMatrix:
                 cur = out.get(key)
                 out[key] = term if cur is None else cur + term
         return DensityMatrix(out, self.backend)
+
+    def rename(self, ket_map: KetMap) -> "DensityMatrix":
+        """rho under a relabeling, as StateVector.rename: both sides of every
+        entry are renamed and each value moves as it is. ket_map is called
+        once per distinct ket."""
+        names: Dict[BasisKet, BasisKet] = {}
+        for pair in self.entries:
+            for k in pair:
+                if k not in names:
+                    [(names[k], _)] = ket_map(k)
+        out = object.__new__(DensityMatrix)
+        out.backend = self.backend
+        out.entries = {(names[a], names[b]): val
+                       for (a, b), val in self.entries.items()}
+        return out
 
     def __repr__(self) -> str:
         return f"DensityMatrix({self.backend}, {len(self.entries)} entries)"

@@ -11,8 +11,8 @@ from hardysim import amplitude, hardy, measurement, optics
 from hardysim.amplitude import EXACT, FLOAT, I, ONE
 from hardysim.errors import ConfigError, SimulationError
 from hardysim.hardy import OutcomeTable, ScenarioConfig, full_table, run_scenario
-from hardysim.measurement import (annihilation_channel, apply_channel,
-                                  check_reaction_prob)
+from hardysim.measurement import (DOOMED, annihilation_channel,
+                                  apply_channel, check_reaction_prob)
 from hardysim.state import DensityMatrix, StateVector, pure_to_density
 from helpers import (EXACT_SWEEP_PS, UnreadableReal, c, d, deep_list,
                      density_times, eq3_state, eq6_state, ket, no_photon_entries,
@@ -321,7 +321,10 @@ class TestWorkBudget:
     the sink instead of forming sqrt(p) and multiplying by it and its
     conjugate, which took it from 121.58 to 120.58. The prepared state after
     both first splitters, and its density matrix, are built once per backend
-    and shared by every scenario, which took it from 120.58 to 91.97. Every
+    and shared by every scenario, which took it from 120.58 to 91.97. A
+    removed second splitter renames kets, and a renamed state keeps its
+    squared norm, so layout OO at p = 0 and 1 no longer sums it again; that
+    took it from 91.97 to 91.47. Every
     scalar, reduced by a gcd or a sign flip that needs none, is allocated
     through ``amplitude._new_scalar``, so that is where they are counted.
     The memoized optical ket maps and prepared state are emptied first, so
@@ -350,6 +353,49 @@ class TestWorkBudget:
         for cfg in scenarios:
             run_scenario(cfg)
         assert made / len(scenarios) <= self.BUDGET
+
+
+class TestCostModel:
+    """Which elements take the general path, counted: a removed second
+    splitter renames kets, so only a splitter in place applies a ket map,
+    and the channel and the knowledge projection change only the doomed
+    ket, so neither applies one. The prepared state is built before
+    counting."""
+
+    CALLS = {"OO": 0, "IO": 1, "OI": 1, "II": 2}
+
+    @pytest.mark.parametrize("kind, p", [(DensityMatrix, Fraction(1, 2)),
+                                         (StateVector, Fraction(1))],
+                             ids=["interior", "endpoint"])
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    def test_ket_map_applications_per_layout(self, monkeypatch, backend,
+                                             kind, p):
+        optics.apply_bs1_pair(backend)
+        calls = []
+        apply = kind.apply_ket_map
+
+        def counted(obj, ket_map):
+            calls.append(obj)
+            return apply(obj, ket_map)
+
+        monkeypatch.setattr(kind, "apply_ket_map", counted)
+        made = {}
+        for plus in (False, True):
+            for minus in (False, True):
+                cfg = ScenarioConfig(plus, minus, p, backend)
+                calls.clear()
+                final, _ = run_scenario(cfg)
+                assert type(final) is kind
+                made[cfg.key] = len(calls)
+        assert made == self.CALLS
+
+    def test_the_channel_keeps_entries_off_the_doomed_row_and_column(self):
+        for backend, p in ((EXACT, Fraction(1, 2)), (FLOAT, 0.5)):
+            rho = pure_to_density(optics.apply_bs1_pair(backend))
+            out = apply_channel(rho, annihilation_channel(p, backend))
+            kept = [key for key in rho.entries if DOOMED not in key]
+            assert len(kept) == 9
+            assert all(out.entries[key] is rho.entries[key] for key in kept)
 
 
 class TestSharedPreparedState:

@@ -241,6 +241,53 @@ class TestApplyChannelOracle:
                 assert abs(got[key] - val) <= 1e-12
 
 
+def all_entries_channel(rho, ch):
+    """apply_channel in its all-entries form: every entry (a, b) scaled by
+    s(a) conj(s(b)), each ket's s read off pass_map, and p rho(DOOMED,
+    DOOMED) added to the sink."""
+    pass_map = ch.pass_map()
+    ket_side, bra_side = {}, {}
+    for k in {k for pair in rho.entries for k in pair}:
+        [(_, s)] = pass_map(k)
+        ket_side[k], bra_side[k] = s, s.conjugate()
+    entries = {(a, b): (val * ket_side[a]) * bra_side[b]
+               for (a, b), val in rho.entries.items()}
+    doomed = rho.entries.get((DOOMED, DOOMED))
+    if doomed is not None:
+        term = doomed * type(doomed)(ch.p)
+        cur = entries.get((ABSORBED, ABSORBED))
+        entries[(ABSORBED, ABSORBED)] = term if cur is None else cur + term
+    return DensityMatrix(entries, rho.backend)
+
+
+class TestApplyChannelAgainstAllEntries:
+    """apply_channel, which changes only the doomed row and column, against
+    its all-entries form: on the source density matrix at exact_sweep's p
+    and at eight seeded float p, and on TestApplyChannelOracle's random
+    matrices, which hold a sink entry. Values are equal (exact ones bit for
+    bit) and in the same order."""
+
+    FLOAT_PS = [k / 1000 for k in random.Random(28).sample(range(1, 1000), 8)]
+
+    @pytest.mark.parametrize("backend, ps", [(EXACT, EXACT_SWEEP_PS),
+                                             (FLOAT, FLOAT_PS)],
+                             ids=["exact", "float"])
+    def test_equals_the_all_entries_form(self, backend, ps):
+        source = pure_to_density(apply_bs1_pair(backend))
+        for p in ps:
+            entries = random_hermitian(random.Random(f"{backend}:{p}"),
+                                       TestApplyChannelOracle.BASIS).entries
+            entries.setdefault((DOOMED, DOOMED), ExactScalar(Fraction(1, 3)))
+            if backend == FLOAT:
+                entries = {key: val.to_complex()
+                           for key, val in entries.items()}
+            ch = annihilation_channel(p, backend)
+            for rho in (source, DensityMatrix(entries, backend)):
+                got = apply_channel(rho, ch).entries
+                assert list(got.items()) == list(
+                    all_entries_channel(rho, ch).entries.items())
+
+
 class TestConditioning:
     """Post-selecting on no photon, through the channel's output."""
 

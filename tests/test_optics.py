@@ -153,6 +153,24 @@ class TestMemoizedKetMaps:
         with pytest.raises(ConfigError):
             build(backend)
 
+    # An arm other than PLUS or MINUS once acted on the minus arm, and an
+    # unhashable arm or label pair raised the cache's TypeError.
+    def test_an_unknown_arm_is_refused_by_apply_bs(self):
+        with pytest.raises(ConfigError, match="arm 'PLUS'"):
+            apply_bs(StateVector({ket(S, S): ONE}), "PLUS", (S, S), (v, u))
+
+    def test_an_unknown_arm_is_refused_by_relabel(self):
+        with pytest.raises(ConfigError, match="arm 'sideways'"):
+            relabel_ket_map(EXACT, "sideways")
+
+    def test_a_list_of_labels_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="two path labels"):
+            bs_ket_map(EXACT, PLUS, [u, v], (c, d))
+
+    def test_an_unhashable_arm_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="arm"):
+            relabel_ket_map(EXACT, ["x"])
+
 
 # Every element's image of one ket, written out by hand, by the label on
 # the element's arm: (out label, coefficient) pairs with "t" = 1/sqrt2

@@ -6,15 +6,16 @@ from fractions import Fraction
 import pytest
 
 from hardysim import amplitude as amp
-from hardysim.amplitude import EXACT, ExactScalar, I, ONE, real_part
+from hardysim.amplitude import EXACT, FLOAT, ExactScalar, I, ONE, real_part
 from hardysim.errors import EmptyStateError, ModeAliasingError, SimulationError
-from hardysim.measurement import annihilation_channel
+from hardysim.measurement import (annihilation_channel, apply_channel,
+                                  project_knowledge)
 from hardysim.optics import (BS2_IN, BS2_OUT, MINUS, PLUS, apply_bs1_pair,
                              bs_ket_map, relabel_ket_map)
 from hardysim.state import (ABSORBED, BasisKet, DensityMatrix, PathLabel,
                             StateVector, pure_to_density)
-from helpers import (S, c, d, eq3_state, eq6_state, ket, random_hermitian,
-                     random_state, u, v)
+from helpers import (EXACT_SWEEP_PS, S, c, d, eq3_state, eq6_state, ket,
+                     random_hermitian, random_state, u, v)
 
 
 @pytest.mark.parametrize("name", ["symbolic", "EXACT"])
@@ -191,6 +192,79 @@ class TestApplyKetMapOracle:
             rho = DensityMatrix(entries)
             with pytest.raises(ModeAliasingError):
                 rho.apply_ket_map(self.MAPS[name])
+
+
+def second_stage_inputs(backend, ps):
+    """What the second splitters meet in run_scenario at each p, and more:
+    the channel's output (its no-photon branch at p = 0 and 1), and that
+    output after one element, splitter or relabeling, on either arm."""
+    states = []
+    for p in ps:
+        ch = annihilation_channel(p, backend)
+        sv = apply_bs1_pair(backend)
+        after = (project_knowledge(sv, ch)[0] if p in (0, 1)
+                 else apply_channel(pure_to_density(sv), ch))
+        states.append(after)
+        for arm in (PLUS, MINUS):
+            for ket_map in (bs_ket_map(backend, arm, BS2_IN, BS2_OUT),
+                            relabel_ket_map(backend, arm)):
+                states.append(after.apply_ket_map(ket_map))
+    return states
+
+
+def values(obj):
+    """A state's amplitudes or a matrix's entries, as (key, value) pairs in
+    order."""
+    held = obj.amps if isinstance(obj, StateVector) else obj.entries
+    return list(held.items())
+
+
+class TestRename:
+    """rename against the general path, apply_ket_map of the same
+    relabeling, on what the second splitters meet at exact_sweep's p and at
+    p = 0, 1 and eight seeded p on the float backend: equal values (exact
+    ones bit for bit) in the same order, and the same squared norm; or
+    ModeAliasingError from both."""
+
+    FLOAT_PS = [0.0, 1.0] + [k / 1000 for k in
+                             random.Random(28).sample(range(1, 1000), 8)]
+
+    @pytest.mark.parametrize("arm", [PLUS, MINUS])
+    @pytest.mark.parametrize("backend, ps", [(EXACT, EXACT_SWEEP_PS),
+                                             (FLOAT, FLOAT_PS)],
+                             ids=["exact", "float"])
+    def test_rename_equals_the_linear_map(self, backend, ps, arm):
+        ket_map = relabel_ket_map(backend, arm)
+        renamed = {StateVector: 0, DensityMatrix: 0}
+        for obj in second_stage_inputs(backend, ps):
+            try:
+                want = obj.apply_ket_map(ket_map)
+            except ModeAliasingError:
+                with pytest.raises(ModeAliasingError):
+                    obj.rename(ket_map)
+                continue
+            got = obj.rename(ket_map)
+            assert type(got) is type(obj) and got.backend is obj.backend
+            assert values(got) == values(want)
+            # each value moves as the same object
+            assert all(x is y for (_, x), (_, y)
+                       in zip(values(got), values(obj)))
+            if isinstance(obj, StateVector):
+                assert got._norm is obj._norm  # carried, not summed again
+                assert got.norm_sq() == want.norm_sq()
+            renamed[type(obj)] += 1
+        assert all(renamed.values())
+
+    @pytest.mark.parametrize("kind", [StateVector, DensityMatrix])
+    @pytest.mark.parametrize("arm", [PLUS, MINUS])
+    def test_a_live_detector_label_on_the_arm_raises(self, kind, arm):
+        bad = ket(c, u) if arm == PLUS else ket(u, c)
+        good = ket(u, v)
+        obj = (StateVector({good: ONE, bad: ONE}) if kind is StateVector
+               else DensityMatrix({(good, good): ONE, (good, bad): ONE,
+                                   (bad, good): ONE, (bad, bad): ONE}))
+        with pytest.raises(ModeAliasingError):
+            obj.rename(relabel_ket_map(EXACT, arm))
 
 
 class TestDump:

@@ -24,6 +24,7 @@ from .amplitude import EXACT
 from .state import BasisKet, StateVector
 
 _UV, _VU = BasisKet(*optics.BS2_IN), BasisKet(*optics.BS2_IN[::-1])
+_COINCIDENCE = (BasisKet(*optics.BS2_OUT), BasisKet(*optics.BS2_OUT[::-1]))
 
 
 def splitter_output(kets: Iterable[BasisKet],
@@ -36,13 +37,9 @@ def splitter_output(kets: Iterable[BasisKet],
     return optics.apply_bs(sv, optics.MINUS, optics.BS2_IN, optics.BS2_OUT)
 
 
-def _coincidence(ket: BasisKet) -> bool:
-    return ket.plus != ket.minus
-
-
 def hom_coincidence_probability(backend: str = EXACT):
     """Coincidence probability for |1,1> through one 50/50 beam splitter."""
-    return splitter_output((_UV, _VU), backend).probability(_coincidence)
+    return splitter_output((_UV, _VU), backend).probability(_COINCIDENCE)
 
 
 def distinguishable_coincidence_probability(backend: str = EXACT):
@@ -51,4 +48,4 @@ def distinguishable_coincidence_probability(backend: str = EXACT):
     One particle per species enters its own beam-splitter port; the
     probability that they exit through different detector ports is 1/2.
     """
-    return splitter_output((_UV,), backend).probability(_coincidence)
+    return splitter_output((_UV,), backend).probability(_COINCIDENCE)

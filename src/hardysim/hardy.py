@@ -4,7 +4,8 @@ Pipeline: source state -> both first beam splitters -> annihilation channel
 at the meeting point (at p = 0 and p = 1 its pure no-photon branch, the
 knowledge measurement; a density matrix in between) -> per arm
 either the second beam splitter or a direct path-to-detector relabeling ->
-detector coincidence table over {c, d} x {c, d} plus the photon branch.
+detector coincidence table over {c, d} x {c, d} plus the photon branch, each
+cell one basis ket whose weight the table reads by lookup.
 """
 
 from __future__ import annotations
@@ -16,9 +17,13 @@ from . import amplitude as amp
 from . import measurement, optics
 from .amplitude import EXACT
 from .errors import ConfigError, SimulationError, echo
-from .state import BasisKet, PathLabel, pure_to_density
+from .state import ABSORBED, BasisKet, PathLabel, pure_to_density
 
 DETECTORS = ("c", "d")
+
+# Each table cell, (det_plus, det_minus), as the one-ket event it reads.
+_CELLS = {(dp, dm): (BasisKet(PathLabel[dp], PathLabel[dm]),)
+          for dp in DETECTORS for dm in DETECTORS}
 
 
 class _ScenarioFields(NamedTuple):
@@ -104,15 +109,6 @@ def _bs2_stage(obj, present_plus: bool, present_minus: bool):
     return obj
 
 
-def _is_coincidence(det_plus: str, det_minus: str):
-    lp, lm = PathLabel[det_plus], PathLabel[det_minus]
-
-    def predicate(ket: BasisKet) -> bool:
-        return (not ket.is_absorbed) and ket.plus == lp and ket.minus == lm
-
-    return predicate
-
-
 def run_scenario(cfg: ScenarioConfig):
     """Run one layout; returns (final state or density matrix, outcome table).
 
@@ -120,7 +116,8 @@ def run_scenario(cfg: ScenarioConfig):
     sum to one. At p = 0 and p = 1 the channel is projective: its pure
     no-photon branch (project_knowledge) gives the whole table and a
     StateVector is returned; in between the channel genuinely mixes and the
-    result is a DensityMatrix.
+    result is a DensityMatrix. Each cell, and the photon weight, is read by
+    one probability call on its one-ket event.
     """
     p = cfg.reaction_prob
     sv = optics.apply_bs1_pair(cfg.backend)
@@ -129,15 +126,15 @@ def run_scenario(cfg: ScenarioConfig):
     if p in (0, 1):
         kept, survival = measurement.project_knowledge(sv, ch)
         final = _bs2_stage(kept, cfg.bs2_plus, cfg.bs2_minus)
-        rows = {(dp, dm): final.probability(_is_coincidence(dp, dm)) * survival
-                for dp in DETECTORS for dm in DETECTORS}
+        rows = {cell: final.probability(event) * survival
+                for cell, event in _CELLS.items()}
         return final, OutcomeTable(rows, 1 - survival, False, cfg.key)
 
     rho = measurement.apply_channel(pure_to_density(sv), ch)
     final = _bs2_stage(rho, cfg.bs2_plus, cfg.bs2_minus)
-    rows = {(dp, dm): final.diagonal_probability(_is_coincidence(dp, dm))
-            for dp in DETECTORS for dm in DETECTORS}
-    gamma = final.diagonal_probability(lambda k: k.is_absorbed)
+    rows = {cell: final.diagonal_probability(event)
+            for cell, event in _CELLS.items()}
+    gamma = final.diagonal_probability((ABSORBED,))
     return final, OutcomeTable(rows, gamma, False, cfg.key)
 
 

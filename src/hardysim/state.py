@@ -115,13 +115,15 @@ class StateVector:
         out._norm, out._density = self._norm, None
         return out
 
-    def probability(self, predicate: Callable[[BasisKet], bool]):
-        """Born probability of the predicate; exact Fraction where possible."""
+    def probability(self, kets: Iterable[BasisKet]):
+        """Born probability of an event, a collection of distinct kets looked
+        up one by one (a ket not held adds nothing); exact where possible."""
         if self.is_zero():
             raise EmptyStateError("empty state")
         kept = self.backend.zero
-        for k, a in self.amps.items():
-            if predicate(k):
+        for k in kets:
+            a = self.amps.get(k)
+            if a is not None:
                 kept = kept + a * a.conjugate()
         return self.backend.ratio(kept, self._norm_sq())
 
@@ -152,10 +154,12 @@ class DensityMatrix:
                 total = total + val * other
         return amp.real_part(total)
 
-    def diagonal_probability(self, predicate: Callable[[BasisKet], bool]):
+    def diagonal_probability(self, kets: Iterable[BasisKet]):
+        """Diagonal weight of an event, as StateVector.probability."""
         total = self.backend.zero
-        for (a, b), val in self.entries.items():
-            if a == b and predicate(a):
+        for k in kets:
+            val = self.entries.get((k, k))
+            if val is not None:
                 total = total + val
         return amp.real_part(total)
 

@@ -19,6 +19,12 @@ S, u, v, c, d = PathLabel
 EXACT_SWEEP_PS = [Fraction(p) for p in ("0", "1", "1/2", "9/25", "16/25",
                                         "1/9", "8/9", "1/50", "49/50")]
 
+# A fixed float sweep in (0, 1): both edges, 1/3 and 1/2, and the two p at
+# which a cancellation residue once survived in a mixed layout.
+FLOAT_GOLDEN_PS = [Fraction(p) for p in ("1/1000000", "37/1000", "1/3", "1/2",
+                                         "2/3", "777821/1000000",
+                                         "833821/1000000", "999999/1000000")]
+
 # Every q with |q| <= 8 and denominator <= 8, drawn as n/d with d <= 8 and
 # |n| <= 8d: the set st.fractions(-8, 8, max_denominator=8) draws from, at
 # far less generation cost.
@@ -54,6 +60,11 @@ def scaled(sv, factor):
 def no_photon_entries(rho):
     """rho's entries off the photon sink's row and column."""
     return {key: val for key, val in rho.entries.items() if ABSORBED not in key}
+
+
+def diagonal_kets(rho):
+    """Every ket on rho's diagonal: as an event, all of rho's kets."""
+    return [a for a, b in rho.entries if a == b]
 
 
 def density_times(sv, weight):

@@ -17,8 +17,9 @@ from hardysim.measurement import (annihilation_channel, apply_channel,
                                   project_knowledge)
 from hardysim.optics import MINUS, PLUS, apply_bs, apply_bs1_pair
 from hardysim.state import ABSORBED, DensityMatrix, pure_to_density
-from helpers import (c, d, density_times, eq6_state, inner, ket,
-                     no_photon_entries, random_state, scalars, scaled, u, v)
+from helpers import (c, d, density_times, diagonal_kets, eq6_state, inner,
+                     ket, no_photon_entries, random_state, scalars, scaled, u,
+                     v)
 
 
 def criterion(number, description):
@@ -55,7 +56,7 @@ def test_criterion_2():
     # eq3's amplitudes on eq6's kets, {1, i, i}/2: the projection rescales
     # nothing, so every exact amplitude is fixed
     assert projected.amps == scaled(eq6_state(), ONE / 2).amps
-    assert projected.probability(lambda k: k == ket(u, u)) == 0
+    assert projected.probability([ket(u, u)]) == 0
 
 
 @criterion(3, "both BS2 removed: support {dd,cd,dc}, amplitudes {1,i,i}, P(cc)=0")
@@ -98,7 +99,8 @@ def test_criterion_5():
     out = apply_channel(rho, annihilation_channel(Fraction(1)))
     projected, survival = project_knowledge(sv, annihilation_channel(Fraction(1)))
     assert survival == Fraction(3, 4)
-    assert out.diagonal_probability(lambda k: not k.is_absorbed) == survival
+    particles = [k for k in diagonal_kets(out) if not k.is_absorbed]
+    assert out.diagonal_probability(particles) == survival
     assert no_photon_entries(out) == density_times(projected, survival)
     assert no_photon_entries(out) == density_times(eq6_state(), survival)
     assert out.entries[(ABSORBED, ABSORBED)] == ExactScalar(Fraction(1, 4))
@@ -109,16 +111,16 @@ def test_criterion_5():
     # trace preservation
     for p in (Fraction(0), Fraction(1, 2), Fraction(1)):
         out_p = apply_channel(rho, annihilation_channel(p))
-        assert out_p.diagonal_probability(lambda k: True) == 1
+        assert out_p.diagonal_probability(diagonal_kets(out_p)) == 1
     sv_f = apply_bs1_pair(FLOAT)
     out_f = apply_channel(pure_to_density(sv_f),
                           annihilation_channel(Fraction(1, 4), FLOAT))
-    assert abs(out_f.diagonal_probability(lambda k: True) - 1.0) <= 1e-12
+    assert abs(out_f.diagonal_probability(diagonal_kets(out_f)) - 1.0) <= 1e-12
     # p=1/2 mixes: full state and particle block both lose purity
     out_half = apply_channel(rho, annihilation_channel(Fraction(1, 2)))
     assert out_half.purity() < 1
     block = DensityMatrix(no_photon_entries(out_half))
-    assert block.diagonal_probability(lambda k: True) == Fraction(7, 8)
+    assert block.diagonal_probability(diagonal_kets(block)) == Fraction(7, 8)
     assert block.purity() == Fraction(49, 64)
 
 

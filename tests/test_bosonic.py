@@ -14,6 +14,7 @@ from hardysim.state import BasisKet
 from helpers import S, c, d, u, v
 
 SYMMETRIC = (BasisKet(u, v), BasisKet(v, u))
+COINCIDENCE = (BasisKet(c, d), BasisKet(d, c))
 
 
 def coincidence(ket):
@@ -70,9 +71,8 @@ class TestPostselect:
     def test_plain_coincidence_kept(self):
         # distinguishable particles reach (c,d) and (d,c) with weight 1/4 each
         out = splitter_output(SYMMETRIC[:1])
-        assert {k for k in out.amps if coincidence(k)} == {
-            BasisKet(c, d), BasisKet(d, c)}
-        assert out.probability(coincidence) == Fraction(1, 2)
+        assert {k for k in out.amps if coincidence(k)} == set(COINCIDENCE)
+        assert out.probability(COINCIDENCE) == Fraction(1, 2)
 
 
 class TestHom:
@@ -90,6 +90,7 @@ class TestHom:
 
     def test_bunched_plus_coincidence_is_one(self):
         out = splitter_output(SYMMETRIC)
-        bunched = out.probability(lambda k: k.plus == k.minus)
-        assert bunched + out.probability(coincidence) == 1
+        bunched = out.probability([k for k in out.amps if k.plus == k.minus])
+        assert bunched + out.probability(
+            [k for k in out.amps if coincidence(k)]) == 1
         assert bunched == 1

@@ -2,6 +2,7 @@
 
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,26 +14,33 @@ from hardysim.errors import ConfigError, SimulationError
 from hardysim.hardy import OutcomeTable, ScenarioConfig, full_table, run_scenario
 from hardysim.measurement import (DOOMED, annihilation_channel,
                                   apply_channel, check_reaction_prob)
-from hardysim.state import DensityMatrix, StateVector, pure_to_density
-from helpers import (EXACT_SWEEP_PS, UnreadableReal, c, d, deep_list,
-                     density_times, eq3_state, eq6_state, ket, no_photon_entries,
-                     scaled)
+from hardysim.state import (ABSORBED, DensityMatrix, StateVector,
+                            pure_to_density)
+from helpers import (EXACT_SWEEP_PS, FLOAT_GOLDEN_PS, UnreadableReal, c, d,
+                     deep_list, density_times, diagonal_kets, eq3_state,
+                     eq6_state, ket, no_photon_entries, scaled)
 
 
-def exact_sweep_text() -> str:
-    """One tab-separated line per (p, layout) of the exact sweep: str() of
-    the unconditional cells cc, cd, dc, dd and of the photon weight."""
+def sweep_text(ps, backend=EXACT, show=str) -> str:
+    """One tab-separated line per (p, layout) of a sweep: show() of the
+    unconditional cells cc, cd, dc, dd and of the photon weight."""
     lines = ["p\tlayout\tcc\tcd\tdc\tdd\tgamma"]
-    for p in EXACT_SWEEP_PS:
+    for p in ps:
         for plus in (False, True):
             for minus in (False, True):
-                cfg = ScenarioConfig(plus, minus, p)
+                cfg = ScenarioConfig(plus, minus, p, backend)
                 _, table = run_scenario(cfg)
                 cells = [table.prob(dp, dm) for dp in ("c", "d")
                          for dm in ("c", "d")]
-                lines.append("\t".join(str(x) for x in
-                                        [p, cfg.key, *cells, table.gamma_prob]))
+                lines.append("\t".join([str(p), cfg.key, *map(show, cells),
+                                        show(table.gamma_prob)]))
     return "\n".join(lines) + "\n"
+
+
+def golden_text(name: str) -> str:
+    path = os.path.join(os.path.dirname(__file__), "golden", name)
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 class TestFinalStates:
@@ -136,7 +144,7 @@ class TestDensityCrossCheck:
                 final, _ = run_scenario(ScenarioConfig(bs2_plus, bs2_minus))
                 rho_final = _bs2_stage(rho, bs2_plus, bs2_minus)
                 survival = rho_final.diagonal_probability(
-                    lambda k: not k.is_absorbed)
+                    [k for k in diagonal_kets(rho_final) if not k.is_absorbed])
                 assert survival == Fraction(3, 4)
                 assert (no_photon_entries(rho_final)
                         == density_times(final, survival))
@@ -144,7 +152,7 @@ class TestDensityCrossCheck:
     def test_mixed_p_returns_density(self):
         final, _ = run_scenario(ScenarioConfig(True, True, Fraction(1, 2)))
         assert isinstance(final, DensityMatrix)
-        assert final.diagonal_probability(lambda k: True) == 1
+        assert final.diagonal_probability(diagonal_kets(final)) == 1
 
     def test_endpoint_p_returns_state_vector(self):
         for p in (Fraction(0), Fraction(1)):
@@ -281,10 +289,16 @@ class TestExactSweepGolden:
         # golden/exact-sweep.txt pins every exact cell and photon weight of
         # the benchmark's exact sweep, so a faster pipeline must reproduce
         # them bit for bit
-        golden = os.path.join(os.path.dirname(__file__), "golden",
-                              "exact-sweep.txt")
-        with open(golden, encoding="utf-8") as fh:
-            assert exact_sweep_text() == fh.read()
+        assert sweep_text(EXACT_SWEEP_PS) == golden_text("exact-sweep.txt")
+
+
+class TestFloatSweepGolden:
+    def test_float_sweep_matches_the_golden_file(self):
+        # golden/float-sweep.txt pins repr() of every float cell and photon
+        # weight over FLOAT_GOLDEN_PS; repr() round-trips a float, so a
+        # change in its last bit shows
+        assert (sweep_text(FLOAT_GOLDEN_PS, FLOAT, repr)
+                == golden_text("float-sweep.txt"))
 
 
 class TestOutcomeTable:
@@ -360,7 +374,8 @@ class TestCostModel:
     splitter renames kets, so only a splitter in place applies a ket map,
     and the channel and the knowledge projection change only the doomed
     ket, so neither applies one. The prepared state is built before
-    counting."""
+    counting. The table reads each cell, and at 0 < p < 1 the photon
+    weight, by one probability call on a one-ket event."""
 
     CALLS = {"OO": 0, "IO": 1, "OI": 1, "II": 2}
 
@@ -388,6 +403,30 @@ class TestCostModel:
                 assert type(final) is kind
                 made[cfg.key] = len(calls)
         assert made == self.CALLS
+
+    @pytest.mark.parametrize("kind, ps, photon", [
+        (StateVector, [Fraction(0), Fraction(1)], []),
+        (DensityMatrix, [Fraction(1, 2), Fraction(9, 25)], [(ABSORBED,)])],
+        ids=["endpoint", "interior"])
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    def test_the_table_reads_one_ket_per_call(self, monkeypatch, backend,
+                                              kind, ps, photon):
+        calls = []
+        for cls, name in ((StateVector, "probability"),
+                          (DensityMatrix, "diagonal_probability")):
+            def counted(obj, kets, cls=cls, read=getattr(cls, name)):
+                calls.append((cls, tuple(kets)))
+                return read(obj, calls[-1][1])
+
+            monkeypatch.setattr(cls, name, counted)
+        cells = [(ket(a, b),) for a in (c, d) for b in (c, d)]
+        expected = Counter((kind, event) for event in cells + photon)
+        for p in ps:
+            for plus in (False, True):
+                for minus in (False, True):
+                    calls.clear()
+                    run_scenario(ScenarioConfig(plus, minus, p, backend))
+                    assert Counter(calls) == expected
 
     def test_the_channel_keeps_entries_off_the_doomed_row_and_column(self):
         for backend, p in ((EXACT, Fraction(1, 2)), (FLOAT, 0.5)):

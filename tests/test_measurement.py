@@ -15,8 +15,9 @@ from hardysim.measurement import (DOOMED, AnnihilationChannel,
 from hardysim.optics import apply_bs1_pair
 from hardysim.state import (ABSORBED, BasisKet, DensityMatrix, StateVector,
                             pure_to_density)
-from helpers import (EXACT_SWEEP_PS, UnreadableReal, density_times, eq3_state,
-                     eq6_state, ket, no_photon_entries, random_hermitian, u, v)
+from helpers import (EXACT_SWEEP_PS, UnreadableReal, density_times,
+                     diagonal_kets, eq3_state, eq6_state, ket,
+                     no_photon_entries, random_hermitian, u, v)
 
 PARTICLE_KETS = [ket(v, v), ket(v, u), ket(u, v), ket(u, u)]
 
@@ -168,7 +169,7 @@ class TestApplyChannel:
         for p in (Fraction(0), Fraction(9, 25), Fraction(1, 2), Fraction(1)):
             rho = pure_to_density(eq3_state())
             out = apply_channel(rho, annihilation_channel(p))
-            assert out.diagonal_probability(lambda k: k.is_absorbed) == p / 4
+            assert out.diagonal_probability([ABSORBED]) == p / 4
 
     def test_existing_photon_entry_is_kept(self):
         # half the weight already in the sink; the channel at p = 1/2 adds
@@ -178,7 +179,7 @@ class TestApplyChannel:
                              (ABSORBED, ABSORBED): ExactScalar(half)})
         out = apply_channel(rho, annihilation_channel(half))
         assert out.entries[(ABSORBED, ABSORBED)] == ExactScalar(Fraction(9, 16))
-        assert out.diagonal_probability(lambda k: True) == 1
+        assert out.diagonal_probability(diagonal_kets(out)) == 1
 
 
 def dense_channel(rho, p, backend):

@@ -225,7 +225,7 @@ class TestApplyBs1Pair:
 
     def test_uu_probability(self):
         out = apply_bs1_pair()
-        assert out.probability(lambda k: k == ket(u, u)) == Fraction(1, 4)
+        assert out.probability([ket(u, u)]) == Fraction(1, 4)
 
     def test_equals_two_independent_bs(self):
         via_pair = apply_bs1_pair()

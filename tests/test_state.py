@@ -14,8 +14,10 @@ from hardysim.optics import (BS2_IN, BS2_OUT, MINUS, PLUS, apply_bs1_pair,
                              bs_ket_map, relabel_ket_map)
 from hardysim.state import (ABSORBED, BasisKet, DensityMatrix, PathLabel,
                             StateVector, pure_to_density)
-from helpers import (EXACT_SWEEP_PS, S, c, d, eq3_state, eq6_state, ket,
-                     random_hermitian, random_state, u, v)
+from helpers import (EXACT_SWEEP_PS, S, c, d, diagonal_kets, eq3_state,
+                     eq6_state, ket, random_hermitian, random_state, u, v)
+
+ALL_KETS = [ket(a, b) for a in PathLabel for b in PathLabel] + [ABSORBED]
 
 
 @pytest.mark.parametrize("name", ["symbolic", "EXACT"])
@@ -50,22 +52,27 @@ class TestBasisKet:
 
 class TestProbability:
     def test_eq6_has_no_uu(self):
-        assert eq6_state().probability(lambda k: k == ket(u, u)) == 0
+        assert eq6_state().probability([ket(u, u)]) == 0
         assert ket(u, u) not in eq6_state().amps
 
     def test_total_is_one(self):
-        assert eq3_state().probability(lambda k: True) == 1
+        sv = eq3_state()
+        assert sv.probability(sv.amps) == 1
 
     def test_empty_state_raises(self):
-        with pytest.raises(EmptyStateError):
-            StateVector({}).probability(lambda k: True)
+        for backend in (EXACT, FLOAT):
+            for event in ([], [ket(u, u)], ALL_KETS):
+                with pytest.raises(EmptyStateError):
+                    StateVector({}, backend).probability(event)
+            with pytest.raises(EmptyStateError):
+                pure_to_density(StateVector({}, backend))
 
     def test_underflowed_float_norm_raises(self):
         # |1e-170|^2 underflows to 0.0 although the amplitude is nonzero
         sv = StateVector({ket(u, u): complex(1e-170)}, amp.FLOAT)
         assert not sv.is_zero()
         with pytest.raises(EmptyStateError):
-            sv.probability(lambda k: True)
+            sv.probability(sv.amps)
 
     def test_partition_sums_to_one(self):
         rng = random.Random(7)
@@ -83,6 +90,84 @@ class TestProbability:
             assert total == sv._norm_sq()
 
 
+def born_oracle(sv, event):
+    """sum over the kets of event that sv holds of |a_k|^2 / |psi|^2, from
+    each exact amplitude's rational coefficients: for a = (q0 + q2 sqrt2) +
+    i (q1 + q3 sqrt2), |a|^2 = q0^2 + q1^2 + 2 q2^2 + 2 q3^2 +
+    2 (q0 q2 + q1 q3) sqrt2. Returns the ratio as (x, y), meaning
+    x + y sqrt2, rationalized by the conjugate of the norm."""
+    def weight(kets):
+        x = y = Fraction(0)
+        for k in kets:
+            if k in sv.amps:
+                a = sv.amps[k]
+                x += a.q0 ** 2 + a.q1 ** 2 + 2 * a.q2 ** 2 + 2 * a.q3 ** 2
+                y += 2 * (a.q0 * a.q2 + a.q1 * a.q3)
+        return x, y
+
+    x, y = weight(event)
+    n, m = weight(sv.amps)
+    den = n * n - 2 * m * m
+    return (x * n - 2 * y * m) / den, (y * n - x * m) / den
+
+
+def float_oracle(sv, event):
+    """The same ratio on complex amplitudes, summed with abs()."""
+    total = sum(abs(a) ** 2 for a in sv.amps.values())
+    return sum(abs(sv.amps[k]) ** 2 for k in event if k in sv.amps) / total
+
+
+def as_pair(x):
+    """An exact probability, a Fraction or a real ExactScalar, as (x, y)
+    meaning x + y sqrt2."""
+    if isinstance(x, Fraction):
+        return x, Fraction(0)
+    assert x.q1 == x.q3 == 0
+    return x.q0, x.q2
+
+
+class TestEventOracle:
+    """An event is a collection of distinct kets. StateVector.probability and
+    pure_to_density(sv).diagonal_probability against the Born weight summed
+    independently, on seeded random states and on both backends."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    def test_matches_the_dense_oracle(self, backend, seed):
+        rng = random.Random(f"event:{seed}")
+        sv = random_state(rng)
+        if backend == FLOAT:
+            sv = StateVector({k: a.to_complex() for k, a in sv.amps.items()},
+                             FLOAT)
+        rho = pure_to_density(sv)
+        # the empty event gives 0, the event of all kets 1
+        for read in (sv.probability, rho.diagonal_probability):
+            assert read([]) == 0
+            got = read(ALL_KETS)
+            assert got == 1 if backend == EXACT else abs(got - 1) <= 1e-12
+        held = list(sv.amps)
+        foreign = [k for k in ALL_KETS if k not in sv.amps]
+        for size in range(len(held) + 1):
+            event = rng.sample(held, size)
+            for got in (sv.probability(event),
+                        rho.diagonal_probability(event)):
+                if backend == EXACT:
+                    assert as_pair(got) == born_oracle(sv, event)
+                else:
+                    assert abs(got - float_oracle(sv, event)) <= 1e-12
+            # kets the state does not hold add nothing, bit for bit
+            padded = event + rng.sample(foreign, 3)
+            assert sv.probability(padded) == sv.probability(event)
+            assert (rho.diagonal_probability(padded)
+                    == rho.diagonal_probability(event))
+
+    def test_a_predicate_is_not_an_event(self):
+        with pytest.raises(TypeError):
+            eq3_state().probability(lambda k: True)
+        with pytest.raises(TypeError):
+            pure_to_density(eq3_state()).diagonal_probability(lambda k: True)
+
+
 class TestDensity:
     def test_pure_source(self):
         rho = pure_to_density(StateVector({ket(S, S): ONE}))
@@ -97,22 +182,21 @@ class TestDensity:
 
     def test_trace_and_purity_of_pure(self):
         rho = pure_to_density(eq3_state())
-        assert rho.diagonal_probability(lambda k: True) == 1
+        assert rho.diagonal_probability(diagonal_kets(rho)) == 1
         assert rho.purity() == 1
 
     def test_maximally_mixed_two_kets(self):
         half = ExactScalar(Fraction(1, 2))
         rho = DensityMatrix({(ket(u, u), ket(u, u)): half,
                              (ket(v, v), ket(v, v)): half})
-        assert rho.diagonal_probability(lambda k: True) == 1
+        assert rho.diagonal_probability(diagonal_kets(rho)) == 1
         assert rho.purity() == Fraction(1, 2)
 
     def test_diagonal_matches_probability(self):
         sv = eq3_state()
         rho = pure_to_density(sv)
         for k in sv.amps:
-            assert real_part(rho.entries[(k, k)]) == sv.probability(
-                lambda x, k=k: x == k)
+            assert real_part(rho.entries[(k, k)]) == sv.probability([k])
 
     def test_zero_pruning(self):
         sv = StateVector({ket(u, u): ONE, ket(v, v): ONE - ONE})

@@ -152,9 +152,8 @@ class ExactScalar:
             return _make(d * n0, 0, -d * n2, 0, m)
         conj2 = _signed(n0, n1, -n2, -n3, d)
         g0, g1, _, _, gd = (self * conj2).ints
+        # A^2 - 2 B^2 != 0: x is not real, so not 0, and sqrt2 is not in Q(i)
         mag = g0 * g0 + g1 * g1
-        if mag == 0:
-            raise ZeroDivisionError("inverse of zero ExactScalar")
         # 1/((g0 + g1 i)/gd) = gd (g0 - g1 i) / (g0^2 + g1^2)
         return conj2 * _make(gd * g0, -gd * g1, 0, 0, mag)
 

@@ -33,8 +33,7 @@ def splitter_output(kets: Iterable[BasisKet],
     beam splitter (u, v -> c, d) on both arms."""
     backend = amp.backend(backend)
     sv = StateVector({k: backend.one for k in kets}, backend)
-    sv = optics.apply_bs(sv, optics.PLUS, optics.BS2_IN, optics.BS2_OUT)
-    return optics.apply_bs(sv, optics.MINUS, optics.BS2_IN, optics.BS2_OUT)
+    return optics.apply_bs(optics.apply_bs(sv, optics.PLUS), optics.MINUS)
 
 
 def hom_coincidence_probability(backend: str = EXACT):

@@ -98,14 +98,12 @@ class OutcomeTable:
 def _bs2_stage(obj, present_plus: bool, present_minus: bool):
     """Second beam splitters on a state or density matrix; a removed one
     renames kets through its relabeling."""
-    backend = obj.backend
     for arm, present in ((optics.PLUS, present_plus),
                          (optics.MINUS, present_minus)):
         if present:
-            obj = obj.apply_ket_map(optics.bs_ket_map(
-                backend, arm, optics.BS2_IN, optics.BS2_OUT))
+            obj = obj.apply_ket_map(optics.bs_ket_map(obj.backend, arm))
         else:
-            obj = obj.rename(optics.relabel_ket_map(backend, arm))
+            obj = obj.rename(optics.relabel_ket_map(obj.backend, arm))
     return obj
 
 

@@ -12,12 +12,12 @@ image, so that ket raises ModeAliasingError.
 from __future__ import annotations
 
 import functools
-from typing import Tuple
+from typing import Dict, NamedTuple
 
 from . import amplitude as amp
-from .amplitude import EXACT
+from .amplitude import EXACT, FLOAT
 from .errors import ConfigError, ModeAliasingError, echo
-from .state import BasisKet, PathLabel, StateVector
+from .state import BasisKet, KetMap, PathLabel, StateVector
 
 PLUS = "plus"
 MINUS = "minus"
@@ -26,10 +26,9 @@ BS2_OUT = (PathLabel.c, PathLabel.d)  # and the detector ports they meet
 
 
 def _arm_ket_map(backend, arm: str, table):
-    """The ket map of one element on one arm, from its table
-    label -> ((out label, coefficient), ...). Memoized per ket
-    (functools.cache): an image that raises is not stored, so that ket
-    raises on every lookup."""
+    """The ket map of one element on one arm, from its table label ->
+    ((out label, coefficient), ...), memoized per ket: an image that raises
+    is not stored, so that ket raises on every lookup."""
     one = backend.one
     targets = {out for images in table.values() for out, _ in images}
 
@@ -50,75 +49,62 @@ def _arm_ket_map(backend, arm: str, table):
     return functools.cache(image)
 
 
-def _check_arm(arm) -> None:
-    if arm not in (PLUS, MINUS):
-        raise ConfigError(f"unknown arm {echo(arm)}: expected "
-                          f"{PLUS!r} or {MINUS!r}")
+def _splitter(backend, arm: str, inputs, outputs) -> KetMap:
+    """A 50/50 beam splitter on one arm with one or two inputs."""
+    t, (first, second) = backend.inv_sqrt2, outputs
+    r = backend.i * t
+    return _arm_ket_map(backend, arm, dict(zip(inputs, (
+        ((first, t), (second, r)), ((first, r), (second, t))))))
 
 
-def _check_label_pair(pair) -> None:
-    if not (type(pair) is tuple and len(pair) == 2
-            and type(pair[0]) is PathLabel and type(pair[1]) is PathLabel):
-        raise ConfigError(f"{echo(pair)} is not a tuple of two path labels")
+class _Optics(NamedTuple):
+    bs2: Dict[str, KetMap]      # the second beam splitter, per arm
+    relabel: Dict[str, KetMap]  # the removed second beam splitter, per arm
+    prepared: StateVector       # the source after both first beam splitters
 
 
-def _per_backend(*checks):
-    """Memoize a builder per (backend, other arguments). Before the lookup
-    the backend is resolved and each other argument passes its check, in
-    order: an unknown or unhashable value raises ConfigError, not the
-    cache's TypeError, and every spelling of a backend ("exact", EXACT, the
-    default) shares one entry. ``cache_clear`` empties the memo."""
-    def wrap(build):
-        memo = functools.cache(build)
-
-        @functools.wraps(build)
-        def lookup(backend=EXACT, *args):
-            for check, arg in zip(checks, args):
-                check(arg)
-            return memo(amp.backend(backend), *args)
-
-        lookup.cache_clear = memo.cache_clear
-        return lookup
-
-    return wrap
-
-
-@_per_backend(_check_arm, _check_label_pair, _check_label_pair)
-def bs_ket_map(backend: str, arm: str, in_pair: Tuple[PathLabel, PathLabel],
-               out_pair: Tuple[PathLabel, PathLabel]):
-    """Linear ket map of one beam splitter, memoized per (backend, element)."""
-    s = backend.inv_sqrt2
-    i_s = backend.i * s
-    first, second = out_pair
-    # in_pair[0] comes last, so it wins where both inputs are one port (BS1)
-    return _arm_ket_map(backend, arm, {in_pair[1]: ((first, i_s), (second, s)),
-                                       in_pair[0]: ((first, s), (second, i_s))})
-
-
-def apply_bs(sv: StateVector, arm: str, in_pair: Tuple[PathLabel, PathLabel],
-             out_pair: Tuple[PathLabel, PathLabel]) -> StateVector:
-    """Apply one beam splitter to the given arm."""
-    return sv.apply_ket_map(bs_ket_map(sv.backend, arm, in_pair, out_pair))
-
-
-@_per_backend(_check_arm)
-def relabel_ket_map(backend: str, arm: str):
-    """The removed second beam splitter on one arm (u -> c, v -> d),
-    memoized like ``bs_ket_map``."""
-    return _arm_ket_map(backend, arm, {label: ((out, backend.one),)
-                                       for label, out in zip(BS2_IN, BS2_OUT)})
-
-
-@_per_backend()
-def apply_bs1_pair(backend: str = EXACT) -> StateVector:
-    """The source |S+>|S-> sent through both first beam splitters
-    (S -> v, u per arm): the prepared state every scenario starts from.
-
-    Built once per backend per process and shared, memoized like
-    ``bs_ket_map``: every call returns the same StateVector, so callers must
-    not change it."""
-    sv = StateVector({BasisKet(PathLabel.S, PathLabel.S): backend.one}, backend)
+def _build(backend) -> _Optics:
+    """One backend's fixed elements, built once at import and shared; the
+    first beam splitters (S -> v, u per arm) only prepare the source."""
+    prepared = StateVector({BasisKet(PathLabel.S, PathLabel.S): backend.one},
+                           backend)
     for arm in (PLUS, MINUS):
-        sv = apply_bs(sv, arm, (PathLabel.S, PathLabel.S),
-                      (PathLabel.v, PathLabel.u))
-    return sv
+        prepared = prepared.apply_ket_map(_splitter(
+            backend, arm, (PathLabel.S,), (PathLabel.v, PathLabel.u)))
+    ports = {label: ((out, backend.one),) for label, out in zip(BS2_IN, BS2_OUT)}
+    return _Optics(
+        {arm: _splitter(backend, arm, BS2_IN, BS2_OUT) for arm in (PLUS, MINUS)},
+        {arm: _arm_ket_map(backend, arm, ports) for arm in (PLUS, MINUS)},
+        prepared)
+
+
+_OPTICS = {backend: _build(backend) for backend in (EXACT, FLOAT)}
+
+
+def _on_arm(maps: Dict[str, KetMap], arm: str) -> KetMap:
+    try:
+        return maps[arm]
+    except (KeyError, TypeError):
+        raise ConfigError(f"unknown arm {echo(arm)}: expected "
+                          f"{PLUS!r} or {MINUS!r}") from None
+
+
+def bs_ket_map(backend: str, arm: str) -> KetMap:
+    """The second beam splitter on one arm (u, v -> c, d)."""
+    return _on_arm(_OPTICS[amp.backend(backend)].bs2, arm)
+
+
+def apply_bs(sv: StateVector, arm: str) -> StateVector:
+    """Apply the second beam splitter to the given arm."""
+    return sv.apply_ket_map(bs_ket_map(sv.backend, arm))
+
+
+def relabel_ket_map(backend: str, arm: str) -> KetMap:
+    """The removed second beam splitter on one arm (u -> c, v -> d)."""
+    return _on_arm(_OPTICS[amp.backend(backend)].relabel, arm)
+
+
+def apply_bs1_pair(backend: str = EXACT) -> StateVector:
+    """The source |S+>|S-> after both first beam splitters: every scenario
+    starts from this one StateVector per backend, so it must not change."""
+    return _OPTICS[amp.backend(backend)].prepared

@@ -155,7 +155,10 @@ class DensityMatrix:
         return amp.real_part(total)
 
     def diagonal_probability(self, kets: Iterable[BasisKet]):
-        """Diagonal weight of an event, as StateVector.probability."""
+        """Diagonal weight of an event, as StateVector.probability, but not
+        divided by the trace: a matrix built by hand is read unnormalized."""
+        if not self.entries:
+            raise EmptyStateError("empty state")
         total = self.backend.zero
         for k in kets:
             val = self.entries.get((k, k))

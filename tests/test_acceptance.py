@@ -170,8 +170,8 @@ def test_criterion_9():
         for _ in range(1000):
             a = random_state(rng)
             b = random_state(rng)
-            a2 = apply_bs(a, arm, (u, v), (c, d))
-            b2 = apply_bs(b, arm, (u, v), (c, d))
+            a2 = apply_bs(a, arm)
+            b2 = apply_bs(b, arm)
             assert inner(a2, b2) == inner(a, b)
             assert a2.norm_sq() == a.norm_sq()
     # table normalization across the p grid and all four layouts

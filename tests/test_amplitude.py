@@ -44,6 +44,32 @@ class TestArithmetic:
             ZERO.inverse()
 
 
+class TestMixedTypes:
+    """An operand that is not an ExactScalar, an int or a Fraction makes each
+    operator return NotImplemented, so Python raises TypeError and == is
+    False; an int on the left of - is coerced by __rsub__."""
+
+    X = ExactScalar(frac(1, 3), frac(2), frac(-1, 2), frac(5))
+
+    @pytest.mark.parametrize("op, expected", [
+        (lambda x: x + "a", TypeError),
+        (lambda x: x - "a", TypeError),
+        (lambda x: "a" - x, TypeError),
+        (lambda x: x * "a", TypeError),
+        (lambda x: x / "a", TypeError),
+        (lambda x: "a" / x, TypeError),
+        (lambda x: x == "a", False),
+        (lambda x: 1 - x, ONE - X),
+    ], ids=["add", "sub", "rsub", "mul", "truediv", "rtruediv", "eq",
+            "int-rsub"])
+    def test_operators(self, op, expected):
+        if expected is TypeError:
+            with pytest.raises(TypeError):
+                op(self.X)
+        else:
+            assert op(self.X) == expected
+
+
 class TestNormSq:
     def test_i_over_two(self):
         x = I * ExactScalar(frac(1, 2))

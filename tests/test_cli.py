@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hardysim
-from hardysim import hardy, optics
+from hardysim import hardy
 from hardysim.cli import CSV_FIELDS, P_EXPONENT_MAX, P_TEXT_MAX_CHARS, main
 
 SRC = os.path.dirname(os.path.dirname(hardysim.__file__))
@@ -432,11 +432,8 @@ class TestTable:
 class TestReports:
     @pytest.mark.parametrize("report", ["table", "lhv-audit", "hom"])
     def test_in_process_runs_equal_the_golden(self, capsys, report):
-        # the first run builds the memoized ket maps and prepared state and
-        # the second reuses them; both print golden/<report>.txt
-        optics.bs_ket_map.cache_clear()
-        optics.relabel_ket_map.cache_clear()
-        optics.apply_bs1_pair.cache_clear()
+        # two runs in one process both print golden/<report>.txt: nothing
+        # one run leaves behind changes the next
         with open(os.path.join(GOLDEN, f"{report}.txt"),
                   encoding="utf-8") as fh:
             golden = fh.read()

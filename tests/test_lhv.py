@@ -111,6 +111,14 @@ class TestReport:
         assert "no local model exists" in report
         assert report.count("ELIMINATED") + report.count("survives") == 16
 
+    def test_half_p_leaves_a_local_model(self):
+        # at p = 1/2 only the OI and IO (d, d) cells vanish, and the nine
+        # strategies that survive them realize every nonzero cell
+        report = audit_report(quantum_constraints(full_table(Fraction(1, 2))))
+        lines = report.splitlines()
+        assert lines[-2:] == ["surviving strategies: 9",
+                              "verdict: satisfiable - a local model exists"]
+
     def test_eliminations_name_their_killer(self):
         verdict = audit(quantum_constraints(full_table()))
         assert len(verdict.eliminations) + len(verdict.surviving_strategies) == 16

@@ -7,8 +7,8 @@ import pytest
 
 from hardysim import amplitude as amp
 from hardysim.amplitude import EXACT, FLOAT, INV_SQRT2, ExactScalar, ONE
-from hardysim.errors import (AnnihilatedError, ConfigError, SimulationError,
-                             UnrepresentableError)
+from hardysim.errors import (AnnihilatedError, ConfigError, EmptyStateError,
+                             SimulationError, UnrepresentableError)
 from hardysim.measurement import (DOOMED, AnnihilationChannel,
                                   annihilation_channel, apply_channel,
                                   project_knowledge)
@@ -40,6 +40,12 @@ class TestProjectKnowledge:
         twice, again = project_knowledge(once, certain())
         assert again == 1
         assert twice.amps == once.amps
+
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    def test_an_empty_state_raises(self, backend):
+        with pytest.raises(EmptyStateError):
+            project_knowledge(StateVector({}, backend),
+                              annihilation_channel(Fraction(1, 2), backend))
 
     def test_certain_annihilation_raises(self):
         sv = StateVector({ket(u, u): ONE})

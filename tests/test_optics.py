@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hardysim import optics
+from hardysim import amplitude, optics
 from hardysim.amplitude import EXACT, ExactScalar, I, INV_SQRT2, ONE
 from hardysim.errors import ConfigError, ModeAliasingError
 from hardysim.optics import (MINUS, PLUS, apply_bs, apply_bs1_pair,
@@ -14,26 +14,32 @@ from hardysim.state import ABSORBED, PathLabel, StateVector
 from helpers import S, c, d, eq3_state, eq6_state, ket, random_state, u, v
 
 
+def bs1_ket_map(backend, arm):
+    """The first beam splitter on one arm (S -> v, u), built as the
+    prepared state builds it."""
+    return optics._splitter(amplitude.backend(backend), arm, (S,), (v, u))
+
+
 class TestApplyBs:
     def test_first_bs_on_source(self):
         sv = StateVector({ket(S, S): ONE})
-        out = apply_bs(sv, PLUS, (S, S), (v, u))
+        out = sv.apply_ket_map(bs1_ket_map(EXACT, PLUS))
         assert out.amps == {ket(v, S): INV_SQRT2, ket(u, S): I * INV_SQRT2}
 
     def test_second_bs_convention(self):
         # u -> (c + i d)/sqrt2 and v -> (i c + d)/sqrt2 on either arm
         for arm, mk in ((PLUS, lambda lbl: ket(lbl, S)),
                         (MINUS, lambda lbl: ket(S, lbl))):
-            out_u = apply_bs(StateVector({mk(u): ONE}), arm, (u, v), (c, d))
+            out_u = apply_bs(StateVector({mk(u): ONE}), arm)
             assert out_u.amps == {mk(c): INV_SQRT2, mk(d): I * INV_SQRT2}
-            out_v = apply_bs(StateVector({mk(v): ONE}), arm, (u, v), (c, d))
+            out_v = apply_bs(StateVector({mk(v): ONE}), arm)
             assert out_v.amps == {mk(c): I * INV_SQRT2, mk(d): INV_SQRT2}
 
     def test_inverse_composition(self):
         rng = random.Random(13)
         for _ in range(100):
             sv = random_state(rng)
-            fwd = apply_bs(sv, MINUS, (u, v), (c, d))
+            fwd = apply_bs(sv, MINUS)
             # conjugate-transpose convention: swap the i signs
             inv = _apply_bs_dagger(fwd, MINUS, (c, d), (u, v))
             assert inv.amps == sv.amps
@@ -41,7 +47,7 @@ class TestApplyBs:
     def test_mode_aliasing_rejected(self):
         sv = StateVector({ket(u, c): ONE})
         with pytest.raises(ModeAliasingError):
-            apply_bs(sv, MINUS, (u, v), (c, d))
+            apply_bs(sv, MINUS)
 
 
 def _apply_bs_dagger(sv, arm, in_pair, out_pair):
@@ -100,16 +106,9 @@ class TestRelabel:
                 relabel(StateVector({live: ONE, ket(u, v): ONE}), arm)
 
 
-@pytest.fixture
-def empty_caches():
-    """Start from no memoized maps, so the build order under test is real."""
-    optics.bs_ket_map.cache_clear()
-    optics.relabel_ket_map.cache_clear()
-
-
 class TestMemoizedKetMaps:
     @pytest.mark.parametrize("build, bad, good, image", [
-        (lambda: bs_ket_map(EXACT, MINUS, (u, v), (c, d)), ket(u, c),
+        (lambda: bs_ket_map(EXACT, MINUS), ket(u, c),
          ket(u, u), [(ket(u, c), INV_SQRT2), (ket(u, d), I * INV_SQRT2)]),
         (lambda: relabel_ket_map(EXACT, PLUS), ket(d, S),
          ket(u, S), [(ket(c, S), ONE)]),
@@ -125,47 +124,41 @@ class TestMemoizedKetMaps:
         assert list(ket_map(good)) == image
 
     @pytest.mark.parametrize("order", [("exact", "float"), ("float", "exact")])
-    def test_each_backend_keeps_its_coefficients(self, empty_caches, order):
+    def test_each_backend_keeps_its_coefficients(self, order):
         for backend in order:
             kind = ExactScalar if backend == "exact" else complex
-            for ket_map in (bs_ket_map(backend, PLUS, (u, v), (c, d)),
+            for ket_map in (bs_ket_map(backend, PLUS),
                             relabel_ket_map(backend, PLUS)):
                 coefficients = [x for _, x in ket_map(ket(u, S))]
                 assert coefficients
                 assert all(type(x) is kind for x in coefficients)
 
     def test_a_backend_name_and_its_instance_share_one_map(self):
-        assert (bs_ket_map("exact", PLUS, (u, v), (c, d))
-                is bs_ket_map(EXACT, PLUS, (u, v), (c, d)))
+        assert bs_ket_map("exact", PLUS) is bs_ket_map(EXACT, PLUS)
         assert relabel_ket_map("exact", MINUS) is relabel_ket_map(EXACT, MINUS)
         assert apply_bs1_pair() is apply_bs1_pair("exact") is apply_bs1_pair(EXACT)
-        ket_map = bs_ket_map(EXACT, PLUS, (u, v), (c, d))
+        ket_map = bs_ket_map(EXACT, PLUS)
         assert ket_map(ket(v, S)) is ket_map(ket(v, S))
 
     @pytest.mark.parametrize("backend", [["x"], {}, "symbolic"], ids=repr)
     @pytest.mark.parametrize("build", [
-        lambda backend: bs_ket_map(backend, PLUS, (u, v), (c, d)),
+        lambda backend: bs_ket_map(backend, PLUS),
         lambda backend: relabel_ket_map(backend, PLUS),
         apply_bs1_pair,
     ], ids=["bs", "relabel", "bs1-pair"])
     def test_a_bad_backend_is_a_config_error(self, build, backend):
-        # resolved before the memo hashes it, so never the cache's TypeError
+        # resolved before the table lookup, so never a KeyError or TypeError
         with pytest.raises(ConfigError):
             build(backend)
 
-    # An arm other than PLUS or MINUS once acted on the minus arm, and an
-    # unhashable arm or label pair raised the cache's TypeError.
+    # An arm other than PLUS or MINUS once acted on the minus arm.
     def test_an_unknown_arm_is_refused_by_apply_bs(self):
         with pytest.raises(ConfigError, match="arm 'PLUS'"):
-            apply_bs(StateVector({ket(S, S): ONE}), "PLUS", (S, S), (v, u))
+            apply_bs(StateVector({ket(S, S): ONE}), "PLUS")
 
     def test_an_unknown_arm_is_refused_by_relabel(self):
         with pytest.raises(ConfigError, match="arm 'sideways'"):
             relabel_ket_map(EXACT, "sideways")
-
-    def test_a_list_of_labels_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="two path labels"):
-            bs_ket_map(EXACT, PLUS, [u, v], (c, d))
 
     def test_an_unhashable_arm_is_a_config_error(self):
         with pytest.raises(ConfigError, match="arm"):
@@ -185,8 +178,8 @@ IMAGES = {
                 c: None, d: None, ABSORBED: [(ABSORBED, "1")]},
 }
 ELEMENTS = {
-    "bs1": lambda backend, arm: bs_ket_map(backend, arm, (S, S), (v, u)),
-    "bs2": lambda backend, arm: bs_ket_map(backend, arm, (u, v), (c, d)),
+    "bs1": bs1_ket_map,
+    "bs2": bs_ket_map,
     "relabel": relabel_ket_map,
 }
 COEFFICIENTS = {"exact": {"1": ONE, "t": INV_SQRT2, "r": I * INV_SQRT2},
@@ -229,7 +222,7 @@ class TestApplyBs1Pair:
 
     def test_equals_two_independent_bs(self):
         via_pair = apply_bs1_pair()
-        source = StateVector({ket(S, S): ONE})
-        via_steps = apply_bs(apply_bs(source, PLUS, (S, S), (v, u)),
-                             MINUS, (S, S), (v, u))
+        via_steps = StateVector({ket(S, S): ONE})
+        for arm in (PLUS, MINUS):
+            via_steps = via_steps.apply_ket_map(bs1_ket_map(EXACT, arm))
         assert via_pair.amps == via_steps.amps

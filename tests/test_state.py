@@ -10,8 +10,8 @@ from hardysim.amplitude import EXACT, FLOAT, ExactScalar, I, ONE, real_part
 from hardysim.errors import EmptyStateError, ModeAliasingError, SimulationError
 from hardysim.measurement import (annihilation_channel, apply_channel,
                                   project_knowledge)
-from hardysim.optics import (BS2_IN, BS2_OUT, MINUS, PLUS, apply_bs1_pair,
-                             bs_ket_map, relabel_ket_map)
+from hardysim.optics import (MINUS, PLUS, apply_bs1_pair, bs_ket_map,
+                             relabel_ket_map)
 from hardysim.state import (ABSORBED, BasisKet, DensityMatrix, PathLabel,
                             StateVector, pure_to_density)
 from helpers import (EXACT_SWEEP_PS, S, c, d, diagonal_kets, eq3_state,
@@ -64,6 +64,8 @@ class TestProbability:
             for event in ([], [ket(u, u)], ALL_KETS):
                 with pytest.raises(EmptyStateError):
                     StateVector({}, backend).probability(event)
+                with pytest.raises(EmptyStateError):
+                    DensityMatrix({}, backend).diagonal_probability(event)
             with pytest.raises(EmptyStateError):
                 pure_to_density(StateVector({}, backend))
 
@@ -250,8 +252,8 @@ class TestApplyKetMapOracle:
 
     BASIS = [ket(a, b) for a in (u, v) for b in (u, v)] + [ABSORBED]
     MAPS = {
-        "bs2-plus": bs_ket_map(EXACT, PLUS, BS2_IN, BS2_OUT),
-        "bs2-minus": bs_ket_map(EXACT, MINUS, BS2_IN, BS2_OUT),
+        "bs2-plus": bs_ket_map(EXACT, PLUS),
+        "bs2-minus": bs_ket_map(EXACT, MINUS),
         "relabel-plus": relabel_ket_map(EXACT, PLUS),
         "relabel-minus": relabel_ket_map(EXACT, MINUS),
         "pass-half": annihilation_channel(Fraction(1, 2)).pass_map(),
@@ -290,7 +292,7 @@ def second_stage_inputs(backend, ps):
                  else apply_channel(pure_to_density(sv), ch))
         states.append(after)
         for arm in (PLUS, MINUS):
-            for ket_map in (bs_ket_map(backend, arm, BS2_IN, BS2_OUT),
+            for ket_map in (bs_ket_map(backend, arm),
                             relabel_ket_map(backend, arm)):
                 states.append(after.apply_ket_map(ket_map))
     return states

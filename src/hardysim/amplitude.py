@@ -312,7 +312,10 @@ class _ExactBackend(Backend):
         return exact_sqrt(q)
 
     def prune(self, amps):
-        return {k: a for k, a in amps.items() if a.ints != _ZERO_INTS}
+        try:
+            return {k: a for k, a in amps.items() if a.ints != _ZERO_INTS}
+        except AttributeError:
+            raise ConfigError("ExactScalar mixed with other values") from None
 
     def ratio(self, num, den):
         return real_part(num / den)
@@ -330,7 +333,10 @@ class _FloatBackend(Backend):
 
     def prune(self, amps):
         """Also drops cancellation residues (see RESIDUE_REL)."""
-        cut = RESIDUE_REL * max(map(abs, amps.values()), default=0.0)
+        try:
+            cut = RESIDUE_REL * max(map(abs, amps.values()), default=0.0)
+        except TypeError:
+            raise ConfigError("ExactScalar mixed with other values") from None
         return {k: a for k, a in amps.items() if abs(a) > cut}
 
     def ratio(self, num, den):
@@ -351,6 +357,11 @@ def backend(name) -> Backend:
         return _BACKENDS[name]
     except (KeyError, TypeError):
         raise ConfigError(f"unknown backend {echo(name)}") from None
+
+
+def backend_of(values) -> Backend:
+    """EXACT for no value or a first ExactScalar, FLOAT for any other."""
+    return EXACT if isinstance(next(iter(values), ONE), ExactScalar) else FLOAT
 
 
 def real_part(x):

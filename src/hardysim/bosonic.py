@@ -32,7 +32,7 @@ def splitter_output(kets: Iterable[BasisKet],
     """The sum of the given kets, each with amplitude 1, after one 50/50
     beam splitter (u, v -> c, d) on both arms."""
     backend = amp.backend(backend)
-    sv = StateVector({k: backend.one for k in kets}, backend)
+    sv = StateVector({k: backend.one for k in kets})
     return optics.apply_bs(optics.apply_bs(sv, optics.PLUS), optics.MINUS)
 
 

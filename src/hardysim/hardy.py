@@ -119,7 +119,7 @@ def run_scenario(cfg: ScenarioConfig):
     """
     p = cfg.reaction_prob
     sv = optics.apply_bs1_pair(cfg.backend)
-    ch = measurement.annihilation_channel(p, cfg.backend)
+    ch = measurement.annihilation_channel(p)
 
     if p in (0, 1):
         kept, survival = measurement.project_knowledge(sv, ch)

@@ -48,28 +48,27 @@ class AnnihilationChannel:
       pass:   |DOOMED> -> sqrt(1-p) |DOOMED>
       absorb: |DOOMED> -> sqrt(p)   |ABSORBED>
     Only the absorbed weight p is observable, so +sqrt(p) is formed only
-    when absorb_map is called. p is held as a Fraction. On the exact backend
-    sqrt(1-p) (and sqrt(p), for absorb_map) must lie in Q(i, sqrt2);
-    otherwise an UnrepresentableError asks for the float backend.
+    when absorb_map is called. p is held as a Fraction; each map is formed
+    in the backend given, where sqrt(1-p) (and sqrt(p), for absorb_map)
+    must lie in Q(i, sqrt2) on the exact one, else UnrepresentableError.
     """
 
-    __slots__ = ("p", "backend", "sqrt_1mp")
+    __slots__ = ("p",)
 
-    def __init__(self, p: Fraction, backend: str = EXACT):
-        self.p = p = check_reaction_prob(p)
-        self.backend = amp.backend(backend)
-        self.sqrt_1mp = self.backend.sqrt(1 - p)
+    def __init__(self, p: Fraction):
+        self.p = check_reaction_prob(p)
 
-    def pass_map(self):
-        one = self.backend.one
+    def pass_map(self, backend: str = EXACT):
+        backend = amp.backend(backend)
+        one, s = backend.one, backend.sqrt(1 - self.p)
 
         def ket_map(ket: BasisKet):
-            return [(ket, self.sqrt_1mp if ket == DOOMED else one)]
+            return [(ket, s if ket == DOOMED else one)]
 
         return ket_map
 
-    def absorb_map(self):
-        sqrt_p = self.backend.sqrt(self.p)
+    def absorb_map(self, backend: str = EXACT):
+        sqrt_p = amp.backend(backend).sqrt(self.p)
 
         def ket_map(ket: BasisKet):
             return [(ABSORBED, sqrt_p)] if ket == DOOMED else []
@@ -91,12 +90,12 @@ def project_knowledge(sv: StateVector,
     """
     if sv.is_zero():
         raise EmptyStateError("empty state")
-    [(_, s)] = ch.pass_map()(DOOMED)
+    s = sv.backend.sqrt(1 - ch.p)
     amps = dict(sv.amps)
     doomed = amps.get(DOOMED)
     if doomed is not None:
         amps[DOOMED] = doomed * s
-    kept = StateVector(amps, sv.backend)
+    kept = StateVector(amps)
     survival = sv.backend.ratio(kept._norm_sq(), sv._norm_sq())
     if survival == 0:
         raise AnnihilatedError("state annihilated with certainty")
@@ -105,11 +104,11 @@ def project_knowledge(sv: StateVector,
 
 def apply_channel(rho: DensityMatrix, ch: AnnihilationChannel) -> DensityMatrix:
     """rho -> K_pass rho K_pass^dagger + K_abs rho K_abs^dagger. K_pass
-    scales only DOOMED, by s read off pass_map: the doomed row by s, the
-    doomed column by conj(s), their corner by both; every other entry is
-    kept as it is. K_abs has one image, sqrt(p) |sink> of DOOMED, so it adds
+    scales only DOOMED, by s = sqrt(1-p) in rho's arithmetic: the doomed row
+    by s, the doomed column by conj(s), their corner by both; every other
+    entry is kept. K_abs has one image, sqrt(p) |sink> of DOOMED, so it adds
     p rho(DOOMED, DOOMED), with p in the entry's scalar type, to the sink."""
-    [(_, s)] = ch.pass_map()(DOOMED)
+    s = rho.backend.sqrt(1 - ch.p)
     s_bar = s.conjugate()
     entries = dict(rho.entries)
     for (a, b), val in rho.entries.items():
@@ -122,4 +121,4 @@ def apply_channel(rho: DensityMatrix, ch: AnnihilationChannel) -> DensityMatrix:
         term = doomed * ch.p
         cur = entries.get((ABSORBED, ABSORBED))
         entries[(ABSORBED, ABSORBED)] = term if cur is None else cur + term
-    return DensityMatrix(entries, rho.backend)
+    return DensityMatrix(entries)

@@ -66,8 +66,7 @@ class _Optics(NamedTuple):
 def _build(backend) -> _Optics:
     """One backend's fixed elements, built once at import and shared; the
     first beam splitters (S -> v, u per arm) only prepare the source."""
-    prepared = StateVector({BasisKet(PathLabel.S, PathLabel.S): backend.one},
-                           backend)
+    prepared = StateVector({BasisKet(PathLabel.S, PathLabel.S): backend.one})
     for arm in (PLUS, MINUS):
         prepared = prepared.apply_ket_map(_splitter(
             backend, arm, (PathLabel.S,), (PathLabel.v, PathLabel.u)))

@@ -17,7 +17,6 @@ import enum
 from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from . import amplitude as amp
-from .amplitude import EXACT
 from .errors import EmptyStateError
 
 
@@ -68,10 +67,11 @@ class StateVector:
     """Finite map ket -> amplitude with an exact squared norm, summed on first
     read and cached, so a state that is only passed on never sums it. Its
     density matrix is kept the same way (``pure_to_density``); both caches
-    assume that a state is not changed once built."""
+    assume that a state is not changed once built. The backend is read off
+    the amplitudes (``amplitude.backend_of``)."""
 
-    def __init__(self, amps: Dict[BasisKet, object], backend: str = EXACT):
-        self.backend = amp.backend(backend)
+    def __init__(self, amps: Dict[BasisKet, object]):
+        self.backend = amp.backend_of(amps.values())
         self.amps = self.backend.prune(amps)
         self._norm = None
         self._density = None
@@ -99,7 +99,7 @@ class StateVector:
             for k2, c in ket_map(k):
                 cur = out.get(k2)
                 out[k2] = a * c if cur is None else cur + a * c
-        return StateVector(out, self.backend)
+        return StateVector(out)
 
     def rename(self, ket_map: KetMap) -> "StateVector":
         """The state under a relabeling: ket_map sends each ket to one ket
@@ -138,11 +138,11 @@ class StateVector:
 
 class DensityMatrix:
     """Finite map (BasisKet, BasisKet) -> amplitude, Hermitian by construction
-    in the library; a matrix built by hand is not checked."""
+    in the library; a matrix built by hand is not checked. The backend is
+    read off the entries, as a StateVector's is."""
 
-    def __init__(self, entries: Dict[Tuple[BasisKet, BasisKet], object],
-                 backend: str = EXACT):
-        self.backend = amp.backend(backend)
+    def __init__(self, entries: Dict[Tuple[BasisKet, BasisKet], object]):
+        self.backend = amp.backend_of(entries.values())
         self.entries = self.backend.prune(entries)
 
     def purity(self):
@@ -189,7 +189,7 @@ class DensityMatrix:
                 key, term = (a2, b2), val * cb
                 cur = out.get(key)
                 out[key] = term if cur is None else cur + term
-        return DensityMatrix(out, self.backend)
+        return DensityMatrix(out)
 
     def rename(self, ket_map: KetMap) -> "DensityMatrix":
         """rho under a relabeling, as StateVector.rename: both sides of every
@@ -224,5 +224,5 @@ def pure_to_density(sv: StateVector) -> DensityMatrix:
     for a, va in sv.amps.items():
         for b, cb in bras:
             entries[(a, b)] = va * cb
-    sv._density = DensityMatrix(entries, sv.backend)
+    sv._density = DensityMatrix(entries)
     return sv._density

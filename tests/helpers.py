@@ -54,7 +54,7 @@ def eq6_state():
 
 def scaled(sv, factor):
     """sv with every amplitude multiplied by factor."""
-    return StateVector({k: a * factor for k, a in sv.amps.items()}, sv.backend)
+    return StateVector({k: a * factor for k, a in sv.amps.items()})
 
 
 def no_photon_entries(rho):

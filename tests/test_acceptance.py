@@ -114,7 +114,7 @@ def test_criterion_5():
         assert out_p.diagonal_probability(diagonal_kets(out_p)) == 1
     sv_f = apply_bs1_pair(FLOAT)
     out_f = apply_channel(pure_to_density(sv_f),
-                          annihilation_channel(Fraction(1, 4), FLOAT))
+                          annihilation_channel(Fraction(1, 4)))
     assert abs(out_f.diagonal_probability(diagonal_kets(out_f)) - 1.0) <= 1e-12
     # p=1/2 mixes: full state and particle block both lose purity
     out_half = apply_channel(rho, annihilation_channel(Fraction(1, 2)))

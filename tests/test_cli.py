@@ -476,17 +476,19 @@ class TestImport:
         assert out.stdout.strip() == "[]"
 
 
-def run_cli(args, stdout, **env):
+def run_cli(args, stdout, flags=(), **env):
     env = dict(os.environ, PYTHONPATH=SRC, **env)
-    return subprocess.run([sys.executable, "-m", "hardysim.cli", *args],
-                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+    argv = [sys.executable, *flags, "-m", "hardysim.cli", *args]
+    return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env=env,
                           text=True, timeout=60)
 
 
 class TestEntryPoint:
-    """`python -m hardysim.cli` as a user runs it, lazy imports included. A
-    golden's stdout and exports equal golden/<golden>.txt, .csv and .json
-    byte for byte. A row with config fields runs them, and stderr is line."""
+    """`python -m hardysim.cli` as a user runs it, lazy imports included,
+    under `-W error -X dev`, so a warning or a resource left open fails the
+    row. A golden's stdout and exports equal golden/<golden>.txt, .csv and
+    .json byte for byte. A row with config fields runs them, and stderr is
+    line."""
 
     @pytest.mark.parametrize("command, golden, config, code, line", [
         ("table", "table", None, 0, None),
@@ -507,7 +509,7 @@ class TestEntryPoint:
             args += ["--config", str(path), "--csv", str(tmp_path / "out.csv"),
                      "--json", str(tmp_path / "out.json")]
         with open(tmp_path / "out.txt", "wb") as fh:
-            out = run_cli(args, fh)
+            out = run_cli(args, fh, flags=("-W", "error", "-X", "dev"))
         got = {f.suffix[1:]: f.read_bytes() for f in tmp_path.glob("out.*")}
         assert out.returncode == code
         assert out.stderr == (f"{line}\n" if line else "")

@@ -418,7 +418,7 @@ class TestCostModel:
     def test_the_channel_keeps_entries_off_the_doomed_row_and_column(self):
         for backend, p in ((EXACT, Fraction(1, 2)), (FLOAT, 0.5)):
             rho = pure_to_density(optics.apply_bs1_pair(backend))
-            out = apply_channel(rho, annihilation_channel(p, backend))
+            out = apply_channel(rho, annihilation_channel(p))
             kept = [key for key in rho.entries if DOOMED not in key]
             assert len(kept) == 9
             assert all(out.entries[key] is rho.entries[key] for key in kept)

@@ -44,8 +44,8 @@ class TestProjectKnowledge:
     @pytest.mark.parametrize("backend", [EXACT, FLOAT])
     def test_an_empty_state_raises(self, backend):
         with pytest.raises(EmptyStateError):
-            project_knowledge(StateVector({}, backend),
-                              annihilation_channel(Fraction(1, 2), backend))
+            project_knowledge(StateVector({DOOMED: backend.zero}),
+                              annihilation_channel(Fraction(1, 2)))
 
     def test_certain_annihilation_raises(self):
         sv = StateVector({ket(u, u): ONE})
@@ -65,8 +65,8 @@ class TestProjectKnowledge:
     @pytest.mark.parametrize("backend", [EXACT, FLOAT])
     def test_p_zero_returns_the_input(self, backend):
         sv = apply_bs1_pair(backend)
-        kept, survival = project_knowledge(
-            sv, annihilation_channel(Fraction(0), backend))
+        kept, survival = project_knowledge(sv,
+                                           annihilation_channel(Fraction(0)))
         assert survival == 1
         assert kept.amps == sv.amps
 
@@ -95,7 +95,7 @@ class TestChannelConstruction:
         # comes down to |sqrt(1-p)|^2 + |sqrt(p)|^2 = 1
         ch = annihilation_channel(p)
         pass_map, absorb_map = ch.pass_map(), ch.absorb_map()
-        keep = ch.sqrt_1mp
+        keep = EXACT.sqrt(1 - p)
         [(sink, absorb)] = absorb_map(DOOMED)
         assert keep * keep.conjugate() + absorb * absorb.conjugate() == ONE
         assert pass_map(DOOMED) == [(DOOMED, keep)]
@@ -142,25 +142,42 @@ class TestChannelConstruction:
         assert ch.absorb_map()(DOOMED) == [(ABSORBED, INV_SQRT2)]
 
     def test_exact_backend_rejects_irrational_sqrt(self):
-        with pytest.raises(UnrepresentableError):
-            annihilation_channel(Fraction(1, 3))
-        with pytest.raises(UnrepresentableError):
-            annihilation_channel(Fraction(1, 4))  # sqrt(3/4) not in the field
+        # the channel holds only p: sqrt(1-p) is formed, and refused, where
+        # the pass map or an exact state or matrix needs it
+        sv = apply_bs1_pair(EXACT)
+        rho = pure_to_density(sv)
+        # sqrt(2/3), and sqrt(3/4), which is not in the field either
+        for p in (Fraction(1, 3), Fraction(1, 4)):
+            ch = annihilation_channel(p)
+            for form in (ch.pass_map, lambda: project_knowledge(sv, ch),
+                         lambda: apply_channel(rho, ch)):
+                with pytest.raises(UnrepresentableError):
+                    form()
         # sqrt(1 - 10^-5000) is irrational too; its radicand is not quoted
         with pytest.raises(UnrepresentableError) as info:
-            annihilation_channel(Fraction(1, 10**5000))
+            annihilation_channel(Fraction(1, 10**5000)).pass_map()
         assert len(str(info.value)) < 200
-        # only sqrt(1-p) = 1/2 is needed to build the channel; sqrt(3/4) is
+        # only sqrt(1-p) = 1/2 is needed for the pass element; sqrt(3/4) is
         # formed only for the absorb element
         ch = annihilation_channel(Fraction(3, 4))
-        assert ch.sqrt_1mp == ExactScalar(Fraction(1, 2))
+        assert ch.pass_map()(DOOMED) == [(DOOMED, ExactScalar(Fraction(1, 2)))]
         with pytest.raises(UnrepresentableError, match=r"sqrt\(3/4\)"):
             ch.absorb_map()
 
     def test_float_backend_takes_any_p(self):
-        ch = annihilation_channel(Fraction(1, 3), FLOAT)
-        [(_, sqrt_p)] = ch.absorb_map()(DOOMED)
-        assert abs(sqrt_p * sqrt_p - (1 / 3)) < 1e-12
+        ch = annihilation_channel(Fraction(1, 3))
+        for backend in (FLOAT, "float"):
+            [(_, sqrt_p)] = ch.absorb_map(backend)(DOOMED)
+            [(_, s)] = ch.pass_map(backend)(DOOMED)
+            assert abs(sqrt_p * sqrt_p - (1 / 3)) < 1e-12
+            assert abs(s * s - (2 / 3)) < 1e-12
+
+    @pytest.mark.parametrize("backend", ["symbolic", None, ["float"]])
+    def test_a_map_of_an_unknown_backend_raises(self, backend):
+        ch = annihilation_channel(Fraction(1, 2))
+        for factory in (ch.pass_map, ch.absorb_map):
+            with pytest.raises(ConfigError, match="unknown backend"):
+                factory(backend)
 
 
 class TestApplyChannel:
@@ -237,8 +254,8 @@ class TestApplyChannelOracle:
         entries.setdefault((DOOMED, DOOMED), ExactScalar(Fraction(1, 3)))
         if backend == FLOAT:
             entries = {key: val.to_complex() for key, val in entries.items()}
-        rho = DensityMatrix(entries, backend)
-        got = apply_channel(rho, annihilation_channel(p, backend)).entries
+        rho = DensityMatrix(entries)
+        got = apply_channel(rho, annihilation_channel(p)).entries
         want = dense_channel(rho, Fraction(p), backend)
         if backend == EXACT:
             assert got == want
@@ -250,9 +267,9 @@ class TestApplyChannelOracle:
 
 def all_entries_channel(rho, ch):
     """apply_channel in its all-entries form: every entry (a, b) scaled by
-    s(a) conj(s(b)), each ket's s read off pass_map, and p rho(DOOMED,
-    DOOMED) added to the sink."""
-    pass_map = ch.pass_map()
+    s(a) conj(s(b)), each ket's s read off the pass map in rho's backend,
+    and p rho(DOOMED, DOOMED) added to the sink."""
+    pass_map = ch.pass_map(rho.backend)
     ket_side, bra_side = {}, {}
     for k in {k for pair in rho.entries for k in pair}:
         [(_, s)] = pass_map(k)
@@ -264,7 +281,7 @@ def all_entries_channel(rho, ch):
         term = doomed * type(doomed)(ch.p)
         cur = entries.get((ABSORBED, ABSORBED))
         entries[(ABSORBED, ABSORBED)] = term if cur is None else cur + term
-    return DensityMatrix(entries, rho.backend)
+    return DensityMatrix(entries)
 
 
 class TestApplyChannelAgainstAllEntries:
@@ -288,11 +305,44 @@ class TestApplyChannelAgainstAllEntries:
             if backend == FLOAT:
                 entries = {key: val.to_complex()
                            for key, val in entries.items()}
-            ch = annihilation_channel(p, backend)
-            for rho in (source, DensityMatrix(entries, backend)):
+            ch = annihilation_channel(p)
+            for rho in (source, DensityMatrix(entries)):
                 got = apply_channel(rho, ch).entries
                 assert list(got.items()) == list(
                     all_entries_channel(rho, ch).entries.items())
+
+
+class TestOneChannelOnBothBackends:
+    """A channel holds only p, so one channel object acts on the exact and
+    on the float prepared state, each in its own arithmetic; an exact
+    channel once raised TypeError on a float state. Each result is what a
+    channel of the state's own backend gave: the doomed amplitude, row and
+    column scaled by s = backend.sqrt(1 - p), the same values bit for bit
+    (compared by repr, so -0.0 is not 0.0) in the same order. A seeded p
+    outside exact_sweep has no exact s, so it runs on the float state."""
+
+    PS = EXACT_SWEEP_PS + [Fraction(k, 1000) for k in
+                           random.Random(32).sample(range(1, 1000), 8)]
+
+    @pytest.mark.parametrize("p", PS, ids=str)
+    def test_project_knowledge_and_apply_channel(self, p):
+        ch = annihilation_channel(p)
+        for backend in (FLOAT, EXACT) if p in EXACT_SWEEP_PS else (FLOAT,):
+            sv = apply_bs1_pair(backend)
+            s = backend.sqrt(1 - p)
+            want = StateVector({k: a * s if k == DOOMED else a
+                                for k, a in sv.amps.items()})
+            kept, survival = project_knowledge(sv, ch)
+            assert kept.backend is backend
+            assert repr(list(kept.amps.items())) == repr(
+                list(want.amps.items()))
+            assert repr(survival) == repr(
+                backend.ratio(want._norm_sq(), sv._norm_sq()))
+            rho = pure_to_density(sv)
+            got = apply_channel(rho, ch)
+            assert got.backend is backend
+            assert repr(list(got.entries.items())) == repr(
+                list(all_entries_channel(rho, ch).entries.items()))
 
 
 class TestConditioning:

@@ -67,6 +67,10 @@ UNREACHED = {
     "hardysim.hardy:OutcomeTable.__eq__":
         "public API: an exported OutcomeTable compares by value, not identity",
     "hardysim.hardy:OutcomeTable.__repr__": SHOWN,
+    "hardysim.measurement:AnnihilationChannel.pass_map":
+        "public API: the pass Kraus element; the pipeline scales by sqrt(1-p)",
+    "hardysim.measurement:AnnihilationChannel.pass_map.<locals>.ket_map":
+        "the pass element's ket map, which only pass_map returns",
     "hardysim.measurement:AnnihilationChannel.absorb_map":
         "public API: the absorb Kraus element; apply_channel needs only p",
     "hardysim.measurement:AnnihilationChannel.absorb_map.<locals>.ket_map":

@@ -7,7 +7,8 @@ import pytest
 
 from hardysim import amplitude as amp
 from hardysim.amplitude import EXACT, FLOAT, ExactScalar, I, ONE, real_part
-from hardysim.errors import EmptyStateError, ModeAliasingError, SimulationError
+from hardysim.errors import (ConfigError, EmptyStateError, ModeAliasingError,
+                             SimulationError)
 from hardysim.measurement import (annihilation_channel, apply_channel,
                                   project_knowledge)
 from hardysim.optics import (MINUS, PLUS, apply_bs1_pair, bs_ket_map,
@@ -23,11 +24,45 @@ ALL_KETS = [ket(a, b) for a in PathLabel for b in PathLabel] + [ABSORBED]
 @pytest.mark.parametrize("name", ["symbolic", "EXACT"])
 def test_unknown_backend_raises(name):
     with pytest.raises(SimulationError):
-        StateVector({ket(u, u): ExactScalar(1)}, name)
-    with pytest.raises(SimulationError):
-        DensityMatrix({(ket(u, u), ket(u, u)): ExactScalar(1)}, name)
-    with pytest.raises(SimulationError):
         apply_bs1_pair(name)
+
+
+def build(kind, held):
+    """A StateVector or DensityMatrix holding these values, in order, on
+    distinct kets (on the diagonal, for a matrix)."""
+    kets = [ket(a, b) for a in (u, v) for b in (u, v)]
+    if kind is StateVector:
+        return StateVector(dict(zip(kets, held)))
+    return DensityMatrix({(k, k): x for k, x in zip(kets, held)})
+
+
+@pytest.mark.parametrize("kind", [StateVector, DensityMatrix])
+class TestBackendFromValues:
+    """A state or matrix takes its backend from its first value, before
+    pruning: EXACT for an ExactScalar or an empty map, FLOAT for any other
+    number. A map that mixes ExactScalar with other values raises
+    ConfigError, with either kind first."""
+
+    @pytest.mark.parametrize("held, backend, live", [
+        ([], EXACT, 0),
+        ([ExactScalar()], EXACT, 0),
+        ([ONE, I], EXACT, 2),
+        ([0j], FLOAT, 0),
+        ([0.5, 0j, complex(0.5)], FLOAT, 2),
+        ([Fraction(1, 2), 1], FLOAT, 2),
+    ])
+    def test_the_first_value_fixes_the_backend(self, kind, held, backend,
+                                               live):
+        obj = build(kind, held)
+        assert obj.backend is backend
+        assert len(values(obj)) == live
+
+    @pytest.mark.parametrize("other", [complex(0.5), 0j, 0.5, Fraction(1, 2)])
+    @pytest.mark.parametrize("exact", [ONE, ExactScalar()])
+    def test_a_mixed_map_raises(self, kind, exact, other):
+        for mixed in ([exact, other], [other, exact], [ONE, I, other]):
+            with pytest.raises(ConfigError, match="ExactScalar mixed"):
+                build(kind, mixed)
 
 
 class TestBasisKet:
@@ -60,18 +95,22 @@ class TestProbability:
         assert sv.probability(sv.amps) == 1
 
     def test_empty_state_raises(self):
+        # a zero value is pruned away, leaving an empty state of its backend
         for backend in (EXACT, FLOAT):
+            sv = StateVector({ket(u, u): backend.zero})
+            rho = DensityMatrix({(ket(u, u), ket(u, u)): backend.zero})
+            assert sv.backend is rho.backend is backend
             for event in ([], [ket(u, u)], ALL_KETS):
                 with pytest.raises(EmptyStateError):
-                    StateVector({}, backend).probability(event)
+                    sv.probability(event)
                 with pytest.raises(EmptyStateError):
-                    DensityMatrix({}, backend).diagonal_probability(event)
+                    rho.diagonal_probability(event)
             with pytest.raises(EmptyStateError):
-                pure_to_density(StateVector({}, backend))
+                pure_to_density(sv)
 
     def test_underflowed_float_norm_raises(self):
         # |1e-170|^2 underflows to 0.0 although the amplitude is nonzero
-        sv = StateVector({ket(u, u): complex(1e-170)}, amp.FLOAT)
+        sv = StateVector({ket(u, u): complex(1e-170)})
         assert not sv.is_zero()
         with pytest.raises(EmptyStateError):
             sv.probability(sv.amps)
@@ -139,8 +178,7 @@ class TestEventOracle:
         rng = random.Random(f"event:{seed}")
         sv = random_state(rng)
         if backend == FLOAT:
-            sv = StateVector({k: a.to_complex() for k, a in sv.amps.items()},
-                             FLOAT)
+            sv = StateVector({k: a.to_complex() for k, a in sv.amps.items()})
         rho = pure_to_density(sv)
         # the empty event gives 0, the event of all kets 1
         for read in (sv.probability, rho.diagonal_probability):
@@ -208,17 +246,18 @@ class TestDensity:
         # a value at most RESIDUE_REL (4 ulp) times the largest is dropped;
         # a genuine small value far above rounding is kept
         sv = StateVector({ket(u, u): complex(0.5), ket(u, v): complex(1e-17),
-                          ket(v, u): complex(1e-12)}, amp.FLOAT)
+                          ket(v, u): complex(1e-12)})
         assert set(sv.amps) == {ket(u, u), ket(v, u)}
         rho = DensityMatrix({(ket(u, u), ket(u, u)): complex(0.25),
                              (ket(v, v), ket(v, v)): complex(1e-14),
-                             (ket(v, u), ket(v, u)): complex(1e-17)}, amp.FLOAT)
+                             (ket(v, u), ket(v, u)): complex(1e-17)})
         assert set(rho.entries) == {(ket(u, u), ket(u, u)),
                                     (ket(v, v), ket(v, v))}
 
     def test_float_all_zero_state_is_pruned_empty(self):
         # the cut is 0 when every value is 0; an exact 0j must still go
-        assert StateVector({ket(u, u): 0j}, amp.FLOAT).is_zero()
+        sv = StateVector({ket(u, u): 0j})
+        assert sv.is_zero() and sv.backend is FLOAT
 
 
 def dense_conjugation(rho, ket_map, basis):
@@ -286,7 +325,7 @@ def second_stage_inputs(backend, ps):
     output after one element, splitter or relabeling, on either arm."""
     states = []
     for p in ps:
-        ch = annihilation_channel(p, backend)
+        ch = annihilation_channel(p)
         sv = apply_bs1_pair(backend)
         after = (project_knowledge(sv, ch)[0] if p in (0, 1)
                  else apply_channel(pure_to_density(sv), ch))

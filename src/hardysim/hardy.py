@@ -2,10 +2,11 @@
 
 Pipeline: source state -> both first beam splitters -> annihilation channel
 at the meeting point (at p = 0 and p = 1 its pure no-photon branch, the
-knowledge measurement; a density matrix in between) -> per arm
-either the second beam splitter or a direct path-to-detector relabeling ->
-detector coincidence table over {c, d} x {c, d} plus the photon branch, each
-cell one basis ket whose weight the table reads by lookup.
+knowledge measurement; a density matrix in between) -> the layout's second
+stage, one pass per second beam splitter in place, with a removed one's
+path-to-detector relabeling folded into a pass (both removed: one rename)
+-> detector coincidence table over {c, d} x {c, d} plus the photon branch,
+each cell one basis ket whose weight the table reads by lookup.
 """
 
 from __future__ import annotations
@@ -96,14 +97,12 @@ class OutcomeTable:
 
 
 def _bs2_stage(obj, present_plus: bool, present_minus: bool):
-    """Second beam splitters on a state or density matrix; a removed one
-    renames kets through its relabeling."""
-    for arm, present in ((optics.PLUS, present_plus),
-                         (optics.MINUS, present_minus)):
-        if present:
-            obj = obj.apply_ket_map(optics.bs_ket_map(obj.backend, arm))
-        else:
-            obj = obj.rename(optics.relabel_ket_map(obj.backend, arm))
+    """The layout's second stage on a state or density matrix: its passes
+    from the optics table (optics._build), one per splitter in place, or
+    one rename if both are removed."""
+    passes = optics._OPTICS[obj.backend].stages[present_plus, present_minus]
+    for method, ket_map in passes:
+        obj = getattr(obj, method)(ket_map)
     return obj
 
 
@@ -117,6 +116,8 @@ def run_scenario(cfg: ScenarioConfig):
     result is a DensityMatrix. Each cell, and the photon weight, is read by
     one probability call on its one-ket event.
     """
+    if not isinstance(cfg, ScenarioConfig):
+        raise ConfigError(f"run_scenario needs a ScenarioConfig, got {echo(cfg)}")
     p = cfg.reaction_prob
     sv = optics.apply_bs1_pair(cfg.backend)
     ch = measurement.annihilation_channel(p)

@@ -12,7 +12,7 @@ image, so that ket raises ModeAliasingError.
 from __future__ import annotations
 
 import functools
-from typing import Dict, NamedTuple
+from typing import Dict, NamedTuple, Tuple
 
 from . import amplitude as amp
 from .amplitude import EXACT, FLOAT
@@ -61,20 +61,32 @@ class _Optics(NamedTuple):
     bs2: Dict[str, KetMap]      # the second beam splitter, per arm
     relabel: Dict[str, KetMap]  # the removed second beam splitter, per arm
     prepared: StateVector       # the source after both first beam splitters
+    stages: Dict[Tuple[bool, bool], tuple]  # (bs2_plus, bs2_minus) -> passes
 
 
 def _build(backend) -> _Optics:
     """One backend's fixed elements, built once at import and shared; the
-    first beam splitters (S -> v, u per arm) only prepare the source."""
+    first beam splitters (S -> v, u per arm) only prepare the source. A
+    layout's second stage is its (method, ket map) passes: one per splitter in
+    place, a removed one's relabeling folded into the other's images with
+    each coefficient kept, or with both removed one rename."""
     prepared = StateVector({BasisKet(PathLabel.S, PathLabel.S): backend.one})
     for arm in (PLUS, MINUS):
         prepared = prepared.apply_ket_map(_splitter(
             backend, arm, (PathLabel.S,), (PathLabel.v, PathLabel.u)))
     ports = {label: ((out, backend.one),) for label, out in zip(BS2_IN, BS2_OUT)}
-    return _Optics(
-        {arm: _splitter(backend, arm, BS2_IN, BS2_OUT) for arm in (PLUS, MINUS)},
-        {arm: _arm_ket_map(backend, arm, ports) for arm in (PLUS, MINUS)},
-        prepared)
+    bs2 = {arm: _splitter(backend, arm, BS2_IN, BS2_OUT) for arm in (PLUS, MINUS)}
+    relabel = {arm: _arm_ket_map(backend, arm, ports) for arm in (PLUS, MINUS)}
+
+    def then(first, second):  # first, then the relabeling second
+        return functools.cache(lambda ket: tuple(
+            (second(k)[0][0], x) for k, x in first(ket)))
+
+    return _Optics(bs2, relabel, prepared, {
+        (True, True): (("apply_ket_map", bs2[PLUS]), ("apply_ket_map", bs2[MINUS])),
+        (True, False): (("apply_ket_map", then(bs2[PLUS], relabel[MINUS])),),
+        (False, True): (("apply_ket_map", then(bs2[MINUS], relabel[PLUS])),),
+        (False, False): (("rename", then(relabel[PLUS], relabel[MINUS])),)})
 
 
 _OPTICS = {backend: _build(backend) for backend in (EXACT, FLOAT)}

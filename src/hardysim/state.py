@@ -17,7 +17,7 @@ import enum
 from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from . import amplitude as amp
-from .errors import EmptyStateError
+from .errors import ConfigError, EmptyStateError, echo
 
 
 class PathLabel(enum.IntEnum):
@@ -93,23 +93,30 @@ class StateVector:
         return not self.amps
 
     def apply_ket_map(self, ket_map: KetMap) -> "StateVector":
-        """Push every basis ket through a linear ket -> sum-of-kets map."""
+        """Push every basis ket through a linear ket -> sum-of-kets map; a
+        map whose values do not multiply this state's raises ConfigError."""
         out: Dict[BasisKet, object] = {}
-        for k, a in self.amps.items():
-            for k2, c in ket_map(k):
-                cur = out.get(k2)
-                out[k2] = a * c if cur is None else cur + a * c
+        try:
+            for k, a in self.amps.items():
+                for k2, c in ket_map(k):
+                    cur = out.get(k2)
+                    out[k2] = a * c if cur is None else cur + a * c
+        except TypeError as exc:
+            raise ConfigError(f"ket map unfit for this state: {exc}") from exc
         return StateVector(out)
 
     def rename(self, ket_map: KetMap) -> "StateVector":
         """The state under a relabeling: ket_map sends each ket to one ket
-        with coefficient 1, and no two live kets to one. So each amplitude
-        moves as it is, with no product, merge or prune, and the squared
-        norm carries over."""
+        (else ConfigError) with coefficient 1, and no two live kets to one. So
+        each amplitude moves as it is, with no product, merge or prune, and
+        the squared norm carries over."""
         amps: Dict[BasisKet, object] = {}
-        for k, a in self.amps.items():
-            [(k2, _)] = ket_map(k)
-            amps[k2] = a
+        try:
+            for k, a in self.amps.items():
+                [(k2, _)] = ket_map(k)
+                amps[k2] = a
+        except ValueError:
+            raise ConfigError(f"{echo(k)} has not one image: not a relabeling") from None
         out = object.__new__(StateVector)
         out.backend, out.amps = self.backend, amps
         out._norm, out._density = self._norm, None
@@ -172,23 +179,27 @@ class DensityMatrix:
         every bra of that into (a2, b2). ket_map(k) returns k's image as
         (ket, amplitude) pairs; each image is read once, so an iterator will
         do. It is called once per entry on the ket side and once per distinct
-        bra, whose conjugated image is then reused for every entry."""
+        bra, whose conjugated image is then reused for every entry. As for a
+        StateVector, a map unfit for the values raises ConfigError."""
         half: Dict[Tuple[BasisKet, BasisKet], object] = {}
-        for (a, b), val in self.entries.items():
-            for a2, ca in ket_map(a):
-                key, term = (a2, b), val * ca
-                cur = half.get(key)
-                half[key] = term if cur is None else cur + term
         bras: Dict[BasisKet, list] = {}
         out: Dict[Tuple[BasisKet, BasisKet], object] = {}
-        for (a2, b), val in half.items():
-            bra = bras.get(b)
-            if bra is None:
-                bra = bras[b] = [(b2, cb.conjugate()) for b2, cb in ket_map(b)]
-            for b2, cb in bra:
-                key, term = (a2, b2), val * cb
-                cur = out.get(key)
-                out[key] = term if cur is None else cur + term
+        try:
+            for (a, b), val in self.entries.items():
+                for a2, ca in ket_map(a):
+                    key, term = (a2, b), val * ca
+                    cur = half.get(key)
+                    half[key] = term if cur is None else cur + term
+            for (a2, b), val in half.items():
+                bra = bras.get(b)
+                if bra is None:
+                    bra = bras[b] = [(b2, cb.conjugate()) for b2, cb in ket_map(b)]
+                for b2, cb in bra:
+                    key, term = (a2, b2), val * cb
+                    cur = out.get(key)
+                    out[key] = term if cur is None else cur + term
+        except TypeError as exc:
+            raise ConfigError(f"ket map unfit for this matrix: {exc}") from exc
         return DensityMatrix(out)
 
     def rename(self, ket_map: KetMap) -> "DensityMatrix":
@@ -196,10 +207,13 @@ class DensityMatrix:
         entry are renamed and each value moves as it is. ket_map is called
         once per distinct ket."""
         names: Dict[BasisKet, BasisKet] = {}
-        for pair in self.entries:
-            for k in pair:
-                if k not in names:
-                    [(names[k], _)] = ket_map(k)
+        try:
+            for pair in self.entries:
+                for k in pair:
+                    if k not in names:
+                        [(names[k], _)] = ket_map(k)
+        except ValueError:
+            raise ConfigError(f"{echo(k)} has not one image: not a relabeling") from None
         out = object.__new__(DensityMatrix)
         out.backend = self.backend
         out.entries = {(names[a], names[b]): val

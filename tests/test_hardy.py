@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hardysim import amplitude, hardy, measurement, optics
 from hardysim.amplitude import EXACT, FLOAT, I, ONE
-from hardysim.errors import ConfigError, SimulationError
+from hardysim.errors import ConfigError, ModeAliasingError, SimulationError
 from hardysim.hardy import OutcomeTable, ScenarioConfig, full_table, run_scenario
 from hardysim.measurement import (DOOMED, annihilation_channel,
                                   apply_channel, check_reaction_prob)
@@ -18,7 +18,7 @@ from hardysim.state import (ABSORBED, DensityMatrix, StateVector,
                             pure_to_density)
 from helpers import (EXACT_SWEEP_PS, FLOAT_GOLDEN_PS, UnreadableReal, c, d,
                      deep_list, density_times, diagonal_kets, eq3_state,
-                     eq6_state, ket, no_photon_entries, scaled)
+                     eq6_state, ket, no_photon_entries, scaled, u, v)
 
 
 def sweep_text(ps, backend=EXACT, show=str) -> str:
@@ -241,6 +241,15 @@ class TestConfigValidation:
         assert ScenarioConfig(False, True).key == "OI"
         assert ScenarioConfig(True, True).key == "II"
 
+    @pytest.mark.parametrize("cfg", [(True, True, 1, "exact"), None,
+                                     {"bs2_plus": True, "bs2_minus": True},
+                                     "x" * 10**6])
+    def test_run_scenario_takes_only_a_scenario_config(self, cfg):
+        # a plain tuple with the same fields once ended in AttributeError
+        with pytest.raises(ConfigError, match="needs a ScenarioConfig") as info:
+            run_scenario(cfg)
+        assert len(str(info.value)) < 200
+
 
 mixed = (st.none() | st.booleans() | st.integers() | st.floats()
          | st.fractions() | st.complex_numbers() | st.text(max_size=6)
@@ -356,31 +365,94 @@ class TestWorkBudget:
         assert made / len(scenarios) <= self.BUDGET
 
 
+def per_arm_stage(obj, bs2_plus, bs2_minus):
+    """The second stage one arm at a time, plus arm first: a splitter in
+    place applies its ket map, a removed one renames through its
+    relabeling. The reference the layout's passes must equal."""
+    for arm, present in ((optics.PLUS, bs2_plus), (optics.MINUS, bs2_minus)):
+        if present:
+            obj = obj.apply_ket_map(optics.bs_ket_map(obj.backend, arm))
+        else:
+            obj = obj.rename(optics.relabel_ket_map(obj.backend, arm))
+    return obj
+
+
+def value_reprs(obj):
+    """A state's amplitudes or a matrix's entries as (key, repr(value)), in
+    order: dict order and the last ulp both count."""
+    held = obj.amps if isinstance(obj, StateVector) else obj.entries
+    return [(k, repr(val)) for k, val in held.items()]
+
+
+LAYOUTS = {"OO": (False, False), "IO": (True, False), "OI": (False, True),
+           "II": (True, True)}
+
+
+class TestFusedSecondStage:
+    """_bs2_stage runs the layout's passes from the optics table; a removed
+    splitter's relabeling is folded into the other arm's pass. On what the
+    second splitters meet in run_scenario (a StateVector at p = 0 and 1 on
+    both backends, a DensityMatrix at exact_sweep's interior p on the exact
+    backend and at FLOAT_GOLDEN_PS on the float one), the result equals the
+    per-arm reference bit for bit, in the same order. A live detector label
+    on either arm still raises ModeAliasingError, relabeled or not."""
+
+    INPUTS = ([(EXACT, p) for p in EXACT_SWEEP_PS]
+              + [(FLOAT, p) for p in [Fraction(0), Fraction(1)] + FLOAT_GOLDEN_PS])
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("backend, p", INPUTS,
+                             ids=[f"{b}-{p}" for b, p in INPUTS])
+    def test_passes_equal_the_per_arm_stage(self, backend, p, layout):
+        ch = annihilation_channel(p)
+        sv = optics.apply_bs1_pair(backend)
+        obj = (measurement.project_knowledge(sv, ch)[0] if p in (0, 1)
+               else apply_channel(pure_to_density(sv), ch))
+        assert type(obj) is (StateVector if p in (0, 1) else DensityMatrix)
+        got = hardy._bs2_stage(obj, *LAYOUTS[layout])
+        want = per_arm_stage(obj, *LAYOUTS[layout])
+        assert type(got) is type(want) and got.backend is want.backend
+        assert value_reprs(got) == value_reprs(want)
+        if isinstance(got, StateVector):
+            assert repr(got.norm_sq()) == repr(want.norm_sq())
+
+    @pytest.mark.parametrize("kind", [StateVector, DensityMatrix])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("bad", [ket(u, c), ket(u, d), ket(c, u),
+                                     ket(d, v), ket(c, d)], ids=str)
+    def test_a_live_detector_label_raises(self, kind, layout, bad):
+        good = ket(u, v)
+        for kets in ((good, bad), (bad, good)):
+            obj = (StateVector(dict.fromkeys(kets, ONE)) if kind is StateVector
+                   else DensityMatrix({(a, b): ONE for a in kets for b in kets}))
+            with pytest.raises(ModeAliasingError):
+                hardy._bs2_stage(obj, *LAYOUTS[layout])
+
+
 class TestCostModel:
-    """Which elements take the general path, counted: a removed second
-    splitter renames kets, so only a splitter in place applies a ket map,
-    and the channel and the knowledge projection change only the doomed
-    ket, so neither applies one. The prepared state is built before
+    """Which elements take the general path, counted: a splitter in place
+    applies a ket map, and a removed one's relabeling is folded into the
+    other arm's splitter, so only OO renames, once, through both
+    relabelings; the channel and the knowledge projection change only the
+    doomed ket, so neither applies one. The prepared state is built before
     counting. The table reads each cell, and at 0 < p < 1 the photon
     weight, by one probability call on a one-ket event."""
 
     CALLS = {"OO": 0, "IO": 1, "OI": 1, "II": 2}
+    RENAMES = {"OO": 1, "IO": 0, "OI": 0, "II": 0}
 
-    @pytest.mark.parametrize("kind, p", [(DensityMatrix, Fraction(1, 2)),
-                                         (StateVector, Fraction(1))],
-                             ids=["interior", "endpoint"])
-    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
-    def test_ket_map_applications_per_layout(self, monkeypatch, backend,
-                                             kind, p):
+    @staticmethod
+    def calls_per_layout(monkeypatch, kind, method, backend, p):
+        """{layout: calls of kind.method in one run_scenario}."""
         optics.apply_bs1_pair(backend)
         calls = []
-        apply = kind.apply_ket_map
+        call = getattr(kind, method)
 
         def counted(obj, ket_map):
             calls.append(obj)
-            return apply(obj, ket_map)
+            return call(obj, ket_map)
 
-        monkeypatch.setattr(kind, "apply_ket_map", counted)
+        monkeypatch.setattr(kind, method, counted)
         made = {}
         for plus in (False, True):
             for minus in (False, True):
@@ -389,7 +461,25 @@ class TestCostModel:
                 final, _ = run_scenario(cfg)
                 assert type(final) is kind
                 made[cfg.key] = len(calls)
-        assert made == self.CALLS
+        return made
+
+    @pytest.mark.parametrize("kind, p", [(DensityMatrix, Fraction(1, 2)),
+                                         (StateVector, Fraction(1))],
+                             ids=["interior", "endpoint"])
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    def test_ket_map_applications_per_layout(self, monkeypatch, backend,
+                                             kind, p):
+        assert self.calls_per_layout(monkeypatch, kind, "apply_ket_map",
+                                     backend, p) == self.CALLS
+
+    @pytest.mark.parametrize("kind, p", [(DensityMatrix, Fraction(1, 2)),
+                                         (StateVector, Fraction(1)),
+                                         (StateVector, Fraction(0))],
+                             ids=["interior", "endpoint-1", "endpoint-0"])
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    def test_renames_per_layout(self, monkeypatch, backend, kind, p):
+        assert self.calls_per_layout(monkeypatch, kind, "rename",
+                                     backend, p) == self.RENAMES
 
     @pytest.mark.parametrize("kind, ps, photon", [
         (StateVector, [Fraction(0), Fraction(1)], []),
@@ -429,7 +519,8 @@ class TestSharedPreparedState:
     from that state's one density matrix, so no scenario may change either.
     exact_sweep's 36 scenarios and 8 float ones run in two orders; then the
     shared objects are checked against a fresh build of the optics, and
-    every table against one run on that fresh build."""
+    every table against one run on that fresh build, whose second-stage
+    passes are its own."""
 
     FLOAT_PS = [k / 1000 for k in random.Random(27).sample(range(1, 1000), 2)]
     SCENARIOS = [ScenarioConfig(plus, minus, p, backend)
@@ -451,9 +542,15 @@ class TestSharedPreparedState:
         shared = optics.apply_bs1_pair(EXACT)
         assert shared.amps == eq3_state().amps
         assert shared.norm_sq() == 1
+        built = dict(optics._OPTICS)
         for cfg, table in zip(scenarios, tables):
-            monkeypatch.setitem(optics._OPTICS, cfg.backend,
-                                optics._build(cfg.backend))
+            fresh = optics._build(cfg.backend)
+            layout = cfg.bs2_plus, cfg.bs2_minus
+            shared, passes = built[cfg.backend].stages[layout], fresh.stages[layout]
+            # the rerun goes through the fresh build's own passes
+            assert [m for m, _ in passes] == [m for m, _ in shared]
+            assert all(f is not g for (_, f), (_, g) in zip(passes, shared))
+            monkeypatch.setitem(optics._OPTICS, cfg.backend, fresh)
             assert run_scenario(cfg)[1] == table
 
 

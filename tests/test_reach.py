@@ -33,6 +33,7 @@ COMMANDS = [
     (["table", "extra"], None, 2),
     (["run", "--config", "missing.json"], None, 2),
     (["run"], dict(bs2_plus=False, bs2_minus=False, p=0), 0),
+    (["run"], dict(bs2_plus=False, bs2_minus=False, p="1/2"), 0),
     (["run"], dict(bs2_plus=True, bs2_minus=False, p="1/2"), 0),
     (["run"], dict(LAYOUT, p=1), 0),
     (["run"], dict(LAYOUT, p=1e-300, backend="float"), 0),
@@ -75,6 +76,8 @@ UNREACHED = {
         "public API: the absorb Kraus element; apply_channel needs only p",
     "hardysim.measurement:AnnihilationChannel.absorb_map.<locals>.ket_map":
         "the absorb element's ket map, which only absorb_map returns",
+    "hardysim.optics:relabel_ket_map":
+        "public API: the removed splitter on one arm; the layouts' passes fold it in at import",
     "hardysim.state:PathLabel.__str__": f"{SHOWN}: kets and error messages",
     "hardysim.state:BasisKet.__str__": f"{SHOWN}: StateVector.dump's lines",
     "hardysim.state:BasisKet.sort_key": f"{SHOWN}: StateVector.dump's order",

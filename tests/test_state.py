@@ -8,7 +8,7 @@ import pytest
 from hardysim import amplitude as amp
 from hardysim.amplitude import EXACT, FLOAT, ExactScalar, I, ONE, real_part
 from hardysim.errors import (ConfigError, EmptyStateError, ModeAliasingError,
-                             SimulationError)
+                             SimulationError, echo)
 from hardysim.measurement import (annihilation_channel, apply_channel,
                                   project_knowledge)
 from hardysim.optics import (MINUS, PLUS, apply_bs1_pair, bs_ket_map,
@@ -63,6 +63,19 @@ class TestBackendFromValues:
         for mixed in ([exact, other], [other, exact], [ONE, I, other]):
             with pytest.raises(ConfigError, match="ExactScalar mixed"):
                 build(kind, mixed)
+
+    @pytest.mark.parametrize("backend, other", [(EXACT, FLOAT), (FLOAT, EXACT)])
+    def test_a_ket_map_of_the_other_backend_raises(self, kind, backend, other):
+        # an exact state with a float map, and a float state with an exact
+        # one, once ended in TypeError from the first product
+        sv = apply_bs1_pair(backend)
+        obj = sv if kind is StateVector else pure_to_density(sv)
+        for arm in (PLUS, MINUS):
+            for maker in (bs_ket_map, relabel_ket_map):
+                assert obj.apply_ket_map(maker(backend, arm)).backend is backend
+                with pytest.raises(ConfigError, match="unfit") as info:
+                    obj.apply_ket_map(maker(other, arm))
+                assert "unsupported operand" in str(info.value)
 
 
 class TestBasisKet:
@@ -349,7 +362,8 @@ class TestRename:
     relabeling, on what the second splitters meet at exact_sweep's p and at
     p = 0, 1 and eight seeded p on the float backend: equal values (exact
     ones bit for bit) in the same order, and the same squared norm; or
-    ModeAliasingError from both."""
+    ModeAliasingError from both. A map that is not a relabeling raises
+    ConfigError naming the ket."""
 
     FLOAT_PS = [0.0, 1.0] + [k / 1000 for k in
                              random.Random(28).sample(range(1, 1000), 8)]
@@ -390,6 +404,18 @@ class TestRename:
                                    (bad, good): ONE, (bad, bad): ONE}))
         with pytest.raises(ModeAliasingError):
             obj.rename(relabel_ket_map(EXACT, arm))
+
+    @pytest.mark.parametrize("kind", [StateVector, DensityMatrix])
+    @pytest.mark.parametrize("images", [2, 0])
+    def test_a_map_that_is_not_a_relabeling_raises(self, kind, images):
+        # a splitter gives each ket two images; once ValueError from unpacking
+        sv = eq3_state()
+        obj = sv if kind is StateVector else pure_to_density(sv)
+        ket_map = bs_ket_map(EXACT, PLUS) if images else (lambda k: ())
+        first = next(iter(sv.amps))
+        with pytest.raises(ConfigError, match="not a relabeling") as info:
+            obj.rename(ket_map)
+        assert echo(first) in str(info.value)
 
 
 class TestDump:

@@ -36,8 +36,6 @@ class ExactScalar:
     __slots__ = ("ints",)
 
     def __new__(cls, q0=0, q1=0, q2=0, q3=0):
-        if type(q0) is type(q1) is type(q2) is type(q3) is int:
-            return _make(q0, q1, q2, q3, 1)
         # ints and Fractions both carry .numerator and .denominator
         qs = [q if isinstance(q, (int, Fraction)) else Fraction(q)
               for q in (q0, q1, q2, q3)]
@@ -78,7 +76,7 @@ class ExactScalar:
 
     def __neg__(self) -> "ExactScalar":
         n0, n1, n2, n3, d = self.ints
-        return _signed(-n0, -n1, -n2, -n3, d)
+        return _make(-n0, -n1, -n2, -n3, d)
 
     def __sub__(self, other):
         o = _coerce(other)
@@ -99,8 +97,6 @@ class ExactScalar:
         # 1 has the one canonical form _ONE_INTS, so x * 1 returns x itself.
         if o.ints == _ONE_INTS:
             return self
-        if self.ints == _ONE_INTS:
-            return o
         a0, a1, a2, a3, ad = self.ints
         b0, b1, b2, b3, bd = o.ints
         # A right factor with one nonzero part, q, q*i, q*sqrt2 or q*i*sqrt2,
@@ -150,7 +146,7 @@ class ExactScalar:
             if m < 0:
                 return _make(-d * n0, 0, d * n2, 0, -m)
             return _make(d * n0, 0, -d * n2, 0, m)
-        conj2 = _signed(n0, n1, -n2, -n3, d)
+        conj2 = _make(n0, n1, -n2, -n3, d)
         g0, g1, _, _, gd = (self * conj2).ints
         # A^2 - 2 B^2 != 0: x is not real, so not 0, and sqrt2 is not in Q(i)
         mag = g0 * g0 + g1 * g1
@@ -161,7 +157,7 @@ class ExactScalar:
         n0, n1, n2, n3, d = self.ints
         if not (n1 or n3):  # real; instances are immutable, so share it
             return self
-        return _signed(n0, -n1, n2, -n3, d)
+        return _make(n0, -n1, n2, -n3, d)
 
     def __eq__(self, other) -> bool:
         o = other if type(other) is ExactScalar else _coerce(other)
@@ -227,14 +223,6 @@ def _make(n0, n1, n2, n3, d) -> ExactScalar:
     g = math.gcd(n0, n1, n2, n3, d)
     if g != 1:
         n0, n1, n2, n3, d = n0 // g, n1 // g, n2 // g, n3 // g, d // g
-    x = _new_scalar(ExactScalar)
-    _set_ints(x, (n0, n1, n2, n3, d))
-    return x
-
-
-def _signed(n0, n1, n2, n3, d) -> ExactScalar:
-    """The scalar with these ints, a sign flip of a canonical form: flipping
-    signs keeps the form canonical, so no gcd is taken."""
     x = _new_scalar(ExactScalar)
     _set_ints(x, (n0, n1, n2, n3, d))
     return x

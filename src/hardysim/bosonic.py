@@ -33,7 +33,9 @@ def splitter_output(kets: Iterable[BasisKet],
     beam splitter (u, v -> c, d) on both arms."""
     backend = amp.backend(backend)
     sv = StateVector({k: backend.one for k in kets})
-    return optics.apply_bs(optics.apply_bs(sv, optics.PLUS), optics.MINUS)
+    for arm in (optics.PLUS, optics.MINUS):
+        sv = sv.apply_ket_map(optics.bs_ket_map(backend, arm))
+    return sv
 
 
 def hom_coincidence_probability(backend: str = EXACT):

@@ -88,6 +88,11 @@ def project_knowledge(sv: StateVector,
     downstream probabilities renormalize on demand. At p = 1 this is the
     projection onto the non-annihilating kets, at p = 0 the state itself.
     """
+    if not isinstance(sv, StateVector):
+        raise ConfigError(f"expected a StateVector, got {type(sv).__name__}")
+    if not isinstance(ch, AnnihilationChannel):
+        raise ConfigError(f"expected an AnnihilationChannel, "
+                          f"got {type(ch).__name__}")
     if sv.is_zero():
         raise EmptyStateError("empty state")
     s = sv.backend.sqrt(1 - ch.p)
@@ -108,6 +113,11 @@ def apply_channel(rho: DensityMatrix, ch: AnnihilationChannel) -> DensityMatrix:
     by s, the doomed column by conj(s), their corner by both; every other
     entry is kept. K_abs has one image, sqrt(p) |sink> of DOOMED, so it adds
     p rho(DOOMED, DOOMED), with p in the entry's scalar type, to the sink."""
+    if not isinstance(rho, DensityMatrix):
+        raise ConfigError(f"expected a DensityMatrix, got {type(rho).__name__}")
+    if not isinstance(ch, AnnihilationChannel):
+        raise ConfigError(f"expected an AnnihilationChannel, "
+                          f"got {type(ch).__name__}")
     s = rho.backend.sqrt(1 - ch.p)
     s_bar = s.conjugate()
     entries = dict(rho.entries)

@@ -105,11 +105,6 @@ def bs_ket_map(backend: str, arm: str) -> KetMap:
     return _on_arm(_OPTICS[amp.backend(backend)].bs2, arm)
 
 
-def apply_bs(sv: StateVector, arm: str) -> StateVector:
-    """Apply the second beam splitter to the given arm."""
-    return sv.apply_ket_map(bs_ket_map(sv.backend, arm))
-
-
 def relabel_ket_map(backend: str, arm: str) -> KetMap:
     """The removed second beam splitter on one arm (u -> c, v -> d)."""
     return _on_arm(_OPTICS[amp.backend(backend)].relabel, arm)

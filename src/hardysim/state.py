@@ -107,16 +107,25 @@ class StateVector:
 
     def rename(self, ket_map: KetMap) -> "StateVector":
         """The state under a relabeling: ket_map sends each ket to one ket
-        (else ConfigError) with coefficient 1, and no two live kets to one. So
-        each amplitude moves as it is, with no product, merge or prune, and
-        the squared norm carries over."""
+        with the backend's one as coefficient, and no two live kets to one;
+        else ConfigError. So each amplitude moves as it is, with no product,
+        merge or prune, and the squared norm carries over."""
         amps: Dict[BasisKet, object] = {}
+        one = self.backend.one
         try:
             for k, a in self.amps.items():
-                [(k2, _)] = ket_map(k)
+                [(k2, c)] = ket_map(k)
+                if c != one:
+                    raise ValueError
                 amps[k2] = a
-        except ValueError:
-            raise ConfigError(f"{echo(k)} has not one image: not a relabeling") from None
+        except (TypeError, ValueError):
+            raise ConfigError(f"{echo(k)} has not one image of coefficient one: "
+                              f"not a relabeling") from None
+        if len(amps) < len(self.amps):
+            images = [k2 for k in self.amps for k2, _ in ket_map(k)]
+            shared = max(images, key=images.count)
+            raise ConfigError(f"two kets map onto {echo(shared)}: "
+                              f"not a relabeling")
         out = object.__new__(StateVector)
         out.backend, out.amps = self.backend, amps
         out._norm, out._density = self._norm, None
@@ -207,17 +216,26 @@ class DensityMatrix:
         entry are renamed and each value moves as it is. ket_map is called
         once per distinct ket."""
         names: Dict[BasisKet, BasisKet] = {}
+        one = self.backend.one
         try:
             for pair in self.entries:
                 for k in pair:
                     if k not in names:
-                        [(names[k], _)] = ket_map(k)
-        except ValueError:
-            raise ConfigError(f"{echo(k)} has not one image: not a relabeling") from None
+                        [(names[k], c)] = ket_map(k)
+                        if c != one:
+                            raise ValueError
+        except (TypeError, ValueError):
+            raise ConfigError(f"{echo(k)} has not one image of coefficient one: "
+                              f"not a relabeling") from None
+        entries = {(names[a], names[b]): val
+                   for (a, b), val in self.entries.items()}
+        if len(entries) < len(self.entries):
+            images = list(names.values())
+            shared = max(images, key=images.count)
+            raise ConfigError(f"two kets map onto {echo(shared)}: "
+                              f"not a relabeling")
         out = object.__new__(DensityMatrix)
-        out.backend = self.backend
-        out.entries = {(names[a], names[b]): val
-                       for (a, b), val in self.entries.items()}
+        out.backend, out.entries = self.backend, entries
         return out
 
     def __repr__(self) -> str:
@@ -228,6 +246,8 @@ def pure_to_density(sv: StateVector) -> DensityMatrix:
     """rho = |psi><psi| / <psi|psi>; unit trace, purity 1. Built on the first
     call and kept on sv, like its squared norm, so every call on one state
     returns the same DensityMatrix; callers must not change it."""
+    if not isinstance(sv, StateVector):
+        raise ConfigError(f"expected a StateVector, got {type(sv).__name__}")
     if sv._density is not None:
         return sv._density
     if sv.is_zero():

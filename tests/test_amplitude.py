@@ -273,7 +273,8 @@ def test_differential_against_fraction_reference(ca, cb):
 
 
 class TestShortCuts:
-    """Multiplying by 1 and conjugating a real value skip the arithmetic;
+    """Multiplying by 1 on the right and conjugating a real value skip the
+    arithmetic, and 1 on the left is multiplied out like any other factor;
     the results must still be the reference values, in canonical form."""
 
     @pytest.mark.parametrize("slot", range(4))  # c, c*i, c*sqrt2, c*i*sqrt2
@@ -305,9 +306,10 @@ class TestShortCuts:
 
 
 class TestOnePartFactors:
-    """A right factor with one nonzero part (q, q*i, q*sqrt2, q*i*sqrt2),
-    sign flips and the inverse of a real value each take a short formula;
-    every result must be the reference value in canonical form."""
+    """A right factor with one nonzero part (q, q*i, q*sqrt2, q*i*sqrt2)
+    and the inverse of a real value each take a short formula, and sign
+    flips reduce like every other result; each must be the reference value
+    in canonical form."""
 
     # small numerators, zero and negatives included, over varied denominators
     small_q = st.builds(Fraction, st.integers(-9, 9),

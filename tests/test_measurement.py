@@ -361,3 +361,27 @@ class TestConditioning:
         assert out.entries == {(ABSORBED, ABSORBED): ONE}
         with pytest.raises(AnnihilatedError):
             project_knowledge(sv, certain())
+
+
+class TestWrongOperand:
+    """Each channel function takes its one state type and a channel; any
+    other operand raises ConfigError, where it once ended in an
+    AttributeError."""
+
+    @pytest.mark.parametrize("call", [
+        lambda sv, rho, ch: project_knowledge(rho, ch),
+        lambda sv, rho, ch: project_knowledge(sv, 5),
+        lambda sv, rho, ch: project_knowledge(sv, rho),
+        lambda sv, rho, ch: apply_channel(sv, ch),
+        lambda sv, rho, ch: apply_channel(rho, 5),
+        lambda sv, rho, ch: apply_channel(rho, Fraction(1, 2)),
+        lambda sv, rho, ch: pure_to_density(rho),
+        lambda sv, rho, ch: pure_to_density(None),
+    ], ids=["project-matrix", "project-int-channel", "project-matrix-channel",
+            "channel-vector", "channel-int-channel", "channel-p-for-channel",
+            "density-of-matrix", "density-of-none"])
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    def test_is_a_config_error(self, call, backend):
+        sv = apply_bs1_pair(backend)
+        with pytest.raises(ConfigError, match="expected an? [A-Z]"):
+            call(sv, pure_to_density(sv), annihilation_channel(Fraction(1, 2)))

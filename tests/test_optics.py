@@ -8,8 +8,8 @@ import pytest
 from hardysim import amplitude, optics
 from hardysim.amplitude import EXACT, ExactScalar, I, INV_SQRT2, ONE
 from hardysim.errors import ConfigError, ModeAliasingError
-from hardysim.optics import (MINUS, PLUS, apply_bs, apply_bs1_pair,
-                             bs_ket_map, relabel_ket_map)
+from hardysim.optics import (MINUS, PLUS, apply_bs1_pair, bs_ket_map,
+                             relabel_ket_map)
 from hardysim.state import ABSORBED, PathLabel, StateVector
 from helpers import S, c, d, eq3_state, eq6_state, ket, random_state, u, v
 
@@ -30,16 +30,17 @@ class TestApplyBs:
         # u -> (c + i d)/sqrt2 and v -> (i c + d)/sqrt2 on either arm
         for arm, mk in ((PLUS, lambda lbl: ket(lbl, S)),
                         (MINUS, lambda lbl: ket(S, lbl))):
-            out_u = apply_bs(StateVector({mk(u): ONE}), arm)
+            bs = bs_ket_map(EXACT, arm)
+            out_u = StateVector({mk(u): ONE}).apply_ket_map(bs)
             assert out_u.amps == {mk(c): INV_SQRT2, mk(d): I * INV_SQRT2}
-            out_v = apply_bs(StateVector({mk(v): ONE}), arm)
+            out_v = StateVector({mk(v): ONE}).apply_ket_map(bs)
             assert out_v.amps == {mk(c): I * INV_SQRT2, mk(d): INV_SQRT2}
 
     def test_inverse_composition(self):
         rng = random.Random(13)
         for _ in range(100):
             sv = random_state(rng)
-            fwd = apply_bs(sv, MINUS)
+            fwd = sv.apply_ket_map(bs_ket_map(sv.backend, MINUS))
             # conjugate-transpose convention: swap the i signs
             inv = _apply_bs_dagger(fwd, MINUS, (c, d), (u, v))
             assert inv.amps == sv.amps
@@ -47,7 +48,7 @@ class TestApplyBs:
     def test_mode_aliasing_rejected(self):
         sv = StateVector({ket(u, c): ONE})
         with pytest.raises(ModeAliasingError):
-            apply_bs(sv, MINUS)
+            sv.apply_ket_map(bs_ket_map(EXACT, MINUS))
 
 
 def _apply_bs_dagger(sv, arm, in_pair, out_pair):
@@ -152,9 +153,9 @@ class TestMemoizedKetMaps:
             build(backend)
 
     # An arm other than PLUS or MINUS once acted on the minus arm.
-    def test_an_unknown_arm_is_refused_by_apply_bs(self):
+    def test_an_unknown_arm_is_refused_by_bs_ket_map(self):
         with pytest.raises(ConfigError, match="arm 'PLUS'"):
-            apply_bs(StateVector({ket(S, S): ONE}), "PLUS")
+            bs_ket_map(EXACT, "PLUS")
 
     def test_an_unknown_arm_is_refused_by_relabel(self):
         with pytest.raises(ConfigError, match="arm 'sideways'"):

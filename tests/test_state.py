@@ -417,6 +417,51 @@ class TestRename:
             obj.rename(ket_map)
         assert echo(first) in str(info.value)
 
+    @pytest.mark.parametrize("kind", [StateVector, DensityMatrix])
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    def test_two_kets_onto_one_image_raise(self, kind, backend):
+        # once kept 1 of 4 amplitudes (1 of 16 entries), read probability 1
+        sv = apply_bs1_pair(backend)
+        obj = sv if kind is StateVector else pure_to_density(sv)
+        with pytest.raises(ConfigError, match="not a relabeling") as info:
+            obj.rename(lambda k: ((ket(c, c), backend.one),))
+        assert echo(ket(c, c)) in str(info.value)
+
+    @pytest.mark.parametrize("kind", [StateVector, DensityMatrix])
+    @pytest.mark.parametrize("backend, coeff", [
+        (EXACT, 2 * ONE), (EXACT, I), (EXACT, -ONE), (EXACT, complex(1.0)),
+        (FLOAT, complex(2.0)), (FLOAT, 1j), (FLOAT, ONE)],
+        ids=["exact-2", "exact-i", "exact-minus-1", "exact-complex-1",
+             "float-2", "float-i", "float-ExactScalar-1"])
+    def test_a_coefficient_other_than_one_raises(self, kind, backend, coeff):
+        # the factor was once dropped silently
+        sv = apply_bs1_pair(backend)
+        obj = sv if kind is StateVector else pure_to_density(sv)
+        with pytest.raises(ConfigError, match="coefficient one") as info:
+            obj.rename(lambda k: ((k, coeff),))
+        assert echo(next(iter(sv.amps))) in str(info.value)
+
+    @pytest.mark.parametrize("kind", [StateVector, DensityMatrix])
+    @pytest.mark.parametrize("backend, coeff", [
+        (EXACT, ExactScalar(1)), (EXACT, 1), (FLOAT, complex(1.0)),
+        (FLOAT, 1.0)], ids=["exact-new-one", "exact-int-1", "float-one",
+                            "float-real-1"])
+    def test_a_coefficient_equal_to_one_is_a_relabeling(self, kind, backend,
+                                                         coeff):
+        sv = apply_bs1_pair(backend)
+        obj = sv if kind is StateVector else pure_to_density(sv)
+        assert values(obj.rename(lambda k: ((k, coeff),))) == values(obj)
+
+    @pytest.mark.parametrize("kind", [StateVector, DensityMatrix])
+    @pytest.mark.parametrize("ket_map", [5, None, "plus"])
+    def test_a_map_that_is_not_callable_raises(self, kind, ket_map):
+        # once a TypeError, where apply_ket_map raises ConfigError
+        sv = eq3_state()
+        obj = sv if kind is StateVector else pure_to_density(sv)
+        with pytest.raises(ConfigError, match="not a relabeling") as info:
+            obj.rename(ket_map)
+        assert echo(next(iter(sv.amps))) in str(info.value)
+
 
 class TestDump:
     def test_canonical_lines(self):

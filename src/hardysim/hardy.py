@@ -4,7 +4,7 @@ Pipeline: source state -> both first beam splitters -> annihilation channel
 at the meeting point (at p = 0 and p = 1 its pure no-photon branch, the
 knowledge measurement; a density matrix in between) -> the layout's second
 stage, one pass per second beam splitter in place, with a removed one's
-path-to-detector relabeling folded into a pass (both removed: one rename)
+path-to-detector relabeling folded into a pass (both removed: one pass)
 -> detector coincidence table over {c, d} x {c, d} plus the photon branch,
 each cell one basis ket whose weight the table reads by lookup.
 """
@@ -84,7 +84,11 @@ class OutcomeTable:
                 == (other.rows, other.gamma_prob, other.conditional, other.config))
 
     def prob(self, det_plus: str, det_minus: str):
-        return self.rows[(det_plus, det_minus)]
+        try:
+            return self.rows[(det_plus, det_minus)]
+        except (KeyError, TypeError):
+            raise ConfigError(f"no cell ({echo(det_plus)}, {echo(det_minus)}): "
+                              f"detectors are {DETECTORS}") from None
 
     def conditioned(self) -> "OutcomeTable":
         if self.conditional:
@@ -97,12 +101,12 @@ class OutcomeTable:
 
 
 def _bs2_stage(obj, present_plus: bool, present_minus: bool):
-    """The layout's second stage on a state or density matrix: its passes
-    from the optics table (optics._build), one per splitter in place, or
-    one rename if both are removed."""
+    """The layout's second stage on a state or density matrix: its ket maps
+    from the optics table (optics._build), one pass per splitter in place,
+    or one pass of both relabelings if both are removed."""
     passes = optics._OPTICS[obj.backend].stages[present_plus, present_minus]
-    for method, ket_map in passes:
-        obj = getattr(obj, method)(ket_map)
+    for ket_map in passes:
+        obj = obj.apply_ket_map(ket_map)
     return obj
 
 

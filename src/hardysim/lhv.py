@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import hardy
-from .errors import SimulationError
+from .errors import ConfigError, SimulationError, echo
 
 IN, OUT = "in", "out"
 
@@ -72,9 +72,15 @@ def quantum_constraints(tables: Dict[str, hardy.OutcomeTable]) -> ConstraintSet:
     layouts and float tables are refused: a zero test on rounded values can
     give a wrong zero set.
     """
+    if not isinstance(tables, dict):
+        raise ConfigError(f"the LHV constraints need a dict of tables, "
+                          f"got {echo(tables)}")
     for key in KEY.values():
         if key not in tables:
             raise SimulationError(f"the LHV constraints need layout {key}'s table")
+        if not isinstance(tables[key], hardy.OutcomeTable):
+            raise ConfigError(f"layout {key}'s table is {echo(tables[key])}, "
+                              f"not an OutcomeTable")
     tables = {key: tables[key].conditioned() for key in KEY.values()}
     cells = [(setting, outcome, tables[key].prob(*outcome))
              for setting, key in KEY.items()
@@ -106,6 +112,8 @@ def audit(cs: ConstraintSet) -> Verdict:
     contradiction iff no surviving strategy realizes the positive event
     (pointwise, which by convexity covers all mixtures).
     """
+    if not isinstance(cs, ConstraintSet):
+        raise ConfigError(f"the audit needs a ConstraintSet, got {echo(cs)}")
     survivors: List[LocalStrategy] = []
     eliminations: Dict[LocalStrategy, Tuple[Setting, Outcome]] = {}
     for strat in all_strategies():

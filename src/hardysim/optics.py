@@ -28,11 +28,14 @@ BS2_OUT = (PathLabel.c, PathLabel.d)  # and the detector ports they meet
 def _arm_ket_map(backend, arm: str, table):
     """The ket map of one element on one arm, from its table label ->
     ((out label, coefficient), ...), memoized per ket: an image that raises
-    is not stored, so that ket raises on every lookup."""
+    is not stored, so that ket raises on every lookup. A value that is not
+    a BasisKet raises ConfigError."""
     one = backend.one
     targets = {out for images in table.values() for out, _ in images}
 
     def image(ket: BasisKet):
+        if not isinstance(ket, BasisKet):
+            raise ConfigError(f"{echo(ket)} is not a BasisKet")
         if ket.is_absorbed:
             return ((ket, one),)
         label = ket.plus if arm == PLUS else ket.minus
@@ -67,9 +70,9 @@ class _Optics(NamedTuple):
 def _build(backend) -> _Optics:
     """One backend's fixed elements, built once at import and shared; the
     first beam splitters (S -> v, u per arm) only prepare the source. A
-    layout's second stage is its (method, ket map) passes: one per splitter in
-    place, a removed one's relabeling folded into the other's images with
-    each coefficient kept, or with both removed one rename."""
+    layout's second stage is its ket maps, one pass each: one per splitter
+    in place, a removed one's relabeling folded into the other's images with
+    each coefficient kept, or with both removed both relabelings in one."""
     prepared = StateVector({BasisKet(PathLabel.S, PathLabel.S): backend.one})
     for arm in (PLUS, MINUS):
         prepared = prepared.apply_ket_map(_splitter(
@@ -83,10 +86,10 @@ def _build(backend) -> _Optics:
             (second(k)[0][0], x) for k, x in first(ket)))
 
     return _Optics(bs2, relabel, prepared, {
-        (True, True): (("apply_ket_map", bs2[PLUS]), ("apply_ket_map", bs2[MINUS])),
-        (True, False): (("apply_ket_map", then(bs2[PLUS], relabel[MINUS])),),
-        (False, True): (("apply_ket_map", then(bs2[MINUS], relabel[PLUS])),),
-        (False, False): (("rename", then(relabel[PLUS], relabel[MINUS])),)})
+        (True, True): (bs2[PLUS], bs2[MINUS]),
+        (True, False): (then(bs2[PLUS], relabel[MINUS]),),
+        (False, True): (then(bs2[MINUS], relabel[PLUS]),),
+        (False, False): (then(relabel[PLUS], relabel[MINUS]),)})
 
 
 _OPTICS = {backend: _build(backend) for backend in (EXACT, FLOAT)}

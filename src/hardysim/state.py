@@ -71,7 +71,11 @@ class StateVector:
     the amplitudes (``amplitude.backend_of``)."""
 
     def __init__(self, amps: Dict[BasisKet, object]):
-        self.backend = amp.backend_of(amps.values())
+        try:
+            self.backend = amp.backend_of(amps.values())
+        except AttributeError:
+            raise ConfigError(f"a state is a dict ket -> amplitude, "
+                              f"got {echo(amps)}") from None
         self.amps = self.backend.prune(amps)
         self._norm = None
         self._density = None
@@ -105,42 +109,20 @@ class StateVector:
             raise ConfigError(f"ket map unfit for this state: {exc}") from exc
         return StateVector(out)
 
-    def rename(self, ket_map: KetMap) -> "StateVector":
-        """The state under a relabeling: ket_map sends each ket to one ket
-        with the backend's one as coefficient, and no two live kets to one;
-        else ConfigError. So each amplitude moves as it is, with no product,
-        merge or prune, and the squared norm carries over."""
-        amps: Dict[BasisKet, object] = {}
-        one = self.backend.one
-        try:
-            for k, a in self.amps.items():
-                [(k2, c)] = ket_map(k)
-                if c != one:
-                    raise ValueError
-                amps[k2] = a
-        except (TypeError, ValueError):
-            raise ConfigError(f"{echo(k)} has not one image of coefficient one: "
-                              f"not a relabeling") from None
-        if len(amps) < len(self.amps):
-            images = [k2 for k in self.amps for k2, _ in ket_map(k)]
-            shared = max(images, key=images.count)
-            raise ConfigError(f"two kets map onto {echo(shared)}: "
-                              f"not a relabeling")
-        out = object.__new__(StateVector)
-        out.backend, out.amps = self.backend, amps
-        out._norm, out._density = self._norm, None
-        return out
-
     def probability(self, kets: Iterable[BasisKet]):
         """Born probability of an event, a collection of distinct kets looked
         up one by one (a ket not held adds nothing); exact where possible."""
         if self.is_zero():
             raise EmptyStateError("empty state")
         kept = self.backend.zero
-        for k in kets:
-            a = self.amps.get(k)
-            if a is not None:
-                kept = kept + a * a.conjugate()
+        try:
+            for k in kets:
+                a = self.amps.get(k)
+                if a is not None:
+                    kept = kept + a * a.conjugate()
+        except TypeError:
+            raise ConfigError(f"an event is a collection of kets, "
+                              f"got {echo(kets)}") from None
         return self.backend.ratio(kept, self._norm_sq())
 
     def dump(self) -> str:
@@ -158,7 +140,11 @@ class DensityMatrix:
     read off the entries, as a StateVector's is."""
 
     def __init__(self, entries: Dict[Tuple[BasisKet, BasisKet], object]):
-        self.backend = amp.backend_of(entries.values())
+        try:
+            self.backend = amp.backend_of(entries.values())
+        except AttributeError:
+            raise ConfigError(f"a density matrix is a dict (ket, bra) -> "
+                              f"amplitude, got {echo(entries)}") from None
         self.entries = self.backend.prune(entries)
 
     def purity(self):
@@ -176,10 +162,14 @@ class DensityMatrix:
         if not self.entries:
             raise EmptyStateError("empty state")
         total = self.backend.zero
-        for k in kets:
-            val = self.entries.get((k, k))
-            if val is not None:
-                total = total + val
+        try:
+            for k in kets:
+                val = self.entries.get((k, k))
+                if val is not None:
+                    total = total + val
+        except TypeError:
+            raise ConfigError(f"an event is a collection of kets, "
+                              f"got {echo(kets)}") from None
         return amp.real_part(total)
 
     def apply_ket_map(self, ket_map: KetMap) -> "DensityMatrix":
@@ -210,33 +200,6 @@ class DensityMatrix:
         except TypeError as exc:
             raise ConfigError(f"ket map unfit for this matrix: {exc}") from exc
         return DensityMatrix(out)
-
-    def rename(self, ket_map: KetMap) -> "DensityMatrix":
-        """rho under a relabeling, as StateVector.rename: both sides of every
-        entry are renamed and each value moves as it is. ket_map is called
-        once per distinct ket."""
-        names: Dict[BasisKet, BasisKet] = {}
-        one = self.backend.one
-        try:
-            for pair in self.entries:
-                for k in pair:
-                    if k not in names:
-                        [(names[k], c)] = ket_map(k)
-                        if c != one:
-                            raise ValueError
-        except (TypeError, ValueError):
-            raise ConfigError(f"{echo(k)} has not one image of coefficient one: "
-                              f"not a relabeling") from None
-        entries = {(names[a], names[b]): val
-                   for (a, b), val in self.entries.items()}
-        if len(entries) < len(self.entries):
-            images = list(names.values())
-            shared = max(images, key=images.count)
-            raise ConfigError(f"two kets map onto {echo(shared)}: "
-                              f"not a relabeling")
-        out = object.__new__(DensityMatrix)
-        out.backend, out.entries = self.backend, entries
-        return out
 
     def __repr__(self) -> str:
         return f"DensityMatrix({self.backend}, {len(self.entries)} entries)"

@@ -96,6 +96,15 @@ class TestFloatMirror:
         z = (I * ExactScalar(q2=1)).to_complex()
         assert z.real == 0.0
         assert abs(z.imag - math.sqrt(2)) < 1e-15
+        # a non-real value has no float and no exact real part
+        for to_real in (float, real_part):
+            with pytest.raises(UnrepresentableError, match="imaginary part"):
+                to_real(I * ExactScalar(q2=1))
+
+    def test_a_value_past_the_float_range_raises(self):
+        for x in (ExactScalar(10 ** 400), ExactScalar(q3=10 ** 400)):
+            with pytest.raises(UnrepresentableError, match="overflow"):
+                x.to_complex()
 
     def test_inv_two_sqrt3_not_exact(self):
         # 1/(2 sqrt3) is outside the field; the float value is the only carrier

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from hardysim.amplitude import FLOAT, I, INV_SQRT2, ONE
+from hardysim.amplitude import EXACT, FLOAT, I, INV_SQRT2, ONE
 from hardysim.bosonic import (distinguishable_coincidence_probability,
                               hom_coincidence_probability, splitter_output)
-from hardysim.errors import ModeAliasingError, SimulationError
+from hardysim.errors import ConfigError, ModeAliasingError, SimulationError
 from hardysim.state import BasisKet
 from helpers import S, c, d, u, v
 
@@ -52,6 +52,12 @@ class TestApplyBs:
         # a photon already on an output port cannot enter the splitter
         with pytest.raises(ModeAliasingError):
             splitter_output([BasisKet(c, u)])
+
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    def test_a_value_that_is_not_a_ket_raises(self, backend):
+        # once AttributeError: 'int' object has no attribute 'is_absorbed'
+        with pytest.raises(ConfigError, match="5 is not a BasisKet"):
+            splitter_output([5], backend)
 
     def test_dump_lists_the_bunched_kets_in_order(self):
         out = splitter_output(SYMMETRIC)

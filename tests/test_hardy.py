@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from hardysim import amplitude, hardy, measurement, optics
 from hardysim.amplitude import EXACT, FLOAT, I, ONE
-from hardysim.errors import ConfigError, ModeAliasingError, SimulationError
+from hardysim.errors import (ConfigError, ModeAliasingError, SimulationError,
+                             echo)
 from hardysim.hardy import OutcomeTable, ScenarioConfig, full_table, run_scenario
 from hardysim.measurement import (DOOMED, annihilation_channel,
                                   apply_channel, check_reaction_prob)
@@ -324,10 +325,24 @@ class TestOutcomeTable:
         with pytest.raises(SimulationError, match="no surviving coincidences"):
             table.conditioned()
 
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    @pytest.mark.parametrize("cell", [("x", "y"), ("C", "d"), ("c", None),
+                                      ([1], "c")], ids=repr)
+    def test_an_unknown_cell_raises(self, cell, backend):
+        # ("x", "y") once ended in KeyError, an unhashable detector in
+        # TypeError
+        table = full_table(backend=backend)["II"]
+        with pytest.raises(ConfigError, match="no cell") as info:
+            table.prob(*cell)
+        assert f"({echo(cell[0])}, {echo(cell[1])})" in str(info.value)
+
     def test_equality_compares_fields_and_config_can_be_set(self):
         _, table = run_scenario(ScenarioConfig(True, True))
         _, again = run_scenario(ScenarioConfig(True, True))
         assert table == again
+        # another type is left to its own __eq__, so the two are unequal
+        assert table.__eq__(table.rows) is NotImplemented
+        assert table != table.rows and not table == 5
         again.config = "OO"
         assert table != again
 
@@ -336,12 +351,11 @@ class TestWorkBudget:
     """ExactScalar constructions per exact scenario, counted, not timed.
 
     The sweep is the benchmark's exact one: 4 layouts x 9 p whose sqrt(p)
-    and sqrt(1-p) lie in Q(sqrt2). Every scalar, reduced by a gcd or a sign
-    flip that needs none, is allocated through ``amplitude._new_scalar``, so
-    that is where they are counted. The fixed optics are built at import and
-    the prepared state's density matrix before counting, so the count is
-    per-scenario work and does not depend on which tests ran before. It
-    reads 90.42 per scenario.
+    and sqrt(1-p) lie in Q(sqrt2). Every scalar is reduced by a gcd and
+    allocated through ``amplitude._new_scalar``, so that is where they are
+    counted. The fixed optics are built at import and the prepared state's
+    density matrix before counting, so the count is per-scenario work and
+    does not depend on which tests ran before. It reads 90.92 per scenario.
     """
 
     BUDGET = 92
@@ -367,13 +381,11 @@ class TestWorkBudget:
 
 def per_arm_stage(obj, bs2_plus, bs2_minus):
     """The second stage one arm at a time, plus arm first: a splitter in
-    place applies its ket map, a removed one renames through its
-    relabeling. The reference the layout's passes must equal."""
+    place applies its ket map, a removed one its relabeling. The reference
+    the layout's passes must equal."""
     for arm, present in ((optics.PLUS, bs2_plus), (optics.MINUS, bs2_minus)):
-        if present:
-            obj = obj.apply_ket_map(optics.bs_ket_map(obj.backend, arm))
-        else:
-            obj = obj.rename(optics.relabel_ket_map(obj.backend, arm))
+        ket_map = optics.bs_ket_map if present else optics.relabel_ket_map
+        obj = obj.apply_ket_map(ket_map(obj.backend, arm))
     return obj
 
 
@@ -428,31 +440,40 @@ class TestFusedSecondStage:
             with pytest.raises(ModeAliasingError):
                 hardy._bs2_stage(obj, *LAYOUTS[layout])
 
+    @pytest.mark.parametrize("kind", [StateVector, DensityMatrix])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    def test_a_value_that_is_not_a_ket_raises(self, backend, layout, kind):
+        one = amplitude.backend(backend).one
+        obj = (StateVector({5: one}) if kind is StateVector
+               else DensityMatrix({(5, 5): one}))
+        with pytest.raises(ConfigError, match="5 is not a BasisKet"):
+            hardy._bs2_stage(obj, *LAYOUTS[layout])
+
 
 class TestCostModel:
-    """Which elements take the general path, counted: a splitter in place
-    applies a ket map, and a removed one's relabeling is folded into the
-    other arm's splitter, so only OO renames, once, through both
-    relabelings; the channel and the knowledge projection change only the
-    doomed ket, so neither applies one. The prepared state is built before
+    """Which elements apply a ket map, counted: a splitter in place applies
+    one, and a removed one's relabeling is folded into the other arm's
+    splitter, so OO applies one pass through both relabelings; the channel
+    and the knowledge projection change only the doomed ket, so neither
+    applies one. The prepared state is built before
     counting. The table reads each cell, and at 0 < p < 1 the photon
     weight, by one probability call on a one-ket event."""
 
-    CALLS = {"OO": 0, "IO": 1, "OI": 1, "II": 2}
-    RENAMES = {"OO": 1, "IO": 0, "OI": 0, "II": 0}
+    CALLS = {"OO": 1, "IO": 1, "OI": 1, "II": 2}
 
     @staticmethod
-    def calls_per_layout(monkeypatch, kind, method, backend, p):
-        """{layout: calls of kind.method in one run_scenario}."""
+    def calls_per_layout(monkeypatch, kind, backend, p):
+        """{layout: calls of kind.apply_ket_map in one run_scenario}."""
         optics.apply_bs1_pair(backend)
         calls = []
-        call = getattr(kind, method)
+        call = kind.apply_ket_map
 
         def counted(obj, ket_map):
             calls.append(obj)
             return call(obj, ket_map)
 
-        monkeypatch.setattr(kind, method, counted)
+        monkeypatch.setattr(kind, "apply_ket_map", counted)
         made = {}
         for plus in (False, True):
             for minus in (False, True):
@@ -464,22 +485,14 @@ class TestCostModel:
         return made
 
     @pytest.mark.parametrize("kind, p", [(DensityMatrix, Fraction(1, 2)),
-                                         (StateVector, Fraction(1))],
-                             ids=["interior", "endpoint"])
+                                         (StateVector, Fraction(1)),
+                                         (StateVector, Fraction(0))],
+                             ids=["interior", "endpoint", "endpoint-0"])
     @pytest.mark.parametrize("backend", [EXACT, FLOAT])
     def test_ket_map_applications_per_layout(self, monkeypatch, backend,
                                              kind, p):
-        assert self.calls_per_layout(monkeypatch, kind, "apply_ket_map",
-                                     backend, p) == self.CALLS
-
-    @pytest.mark.parametrize("kind, p", [(DensityMatrix, Fraction(1, 2)),
-                                         (StateVector, Fraction(1)),
-                                         (StateVector, Fraction(0))],
-                             ids=["interior", "endpoint-1", "endpoint-0"])
-    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
-    def test_renames_per_layout(self, monkeypatch, backend, kind, p):
-        assert self.calls_per_layout(monkeypatch, kind, "rename",
-                                     backend, p) == self.RENAMES
+        assert self.calls_per_layout(monkeypatch, kind, backend,
+                                     p) == self.CALLS
 
     @pytest.mark.parametrize("kind, ps, photon", [
         (StateVector, [Fraction(0), Fraction(1)], []),
@@ -548,8 +561,8 @@ class TestSharedPreparedState:
             layout = cfg.bs2_plus, cfg.bs2_minus
             shared, passes = built[cfg.backend].stages[layout], fresh.stages[layout]
             # the rerun goes through the fresh build's own passes
-            assert [m for m, _ in passes] == [m for m, _ in shared]
-            assert all(f is not g for (_, f), (_, g) in zip(passes, shared))
+            assert len(passes) == len(shared)
+            assert all(f is not g for f, g in zip(passes, shared))
             monkeypatch.setitem(optics._OPTICS, cfg.backend, fresh)
             assert run_scenario(cfg)[1] == table
 

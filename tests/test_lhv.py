@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hardysim.amplitude import FLOAT
-from hardysim.errors import SimulationError
+from hardysim.errors import ConfigError, SimulationError, echo
 from hardysim.hardy import ScenarioConfig, full_table, run_scenario
 from hardysim.lhv import (ConstraintSet, LocalStrategy, all_strategies, audit,
                           audit_report, quantum_constraints)
@@ -66,6 +66,18 @@ class TestQuantumConstraints:
         with pytest.raises(SimulationError, match="layout IO"):
             quantum_constraints({"OO": full_table()["OO"]})
 
+    @pytest.mark.parametrize("tables", [5, None, "OOIOOIII", [full_table()]],
+                             ids=["int", "None", "str", "list"])
+    def test_tables_that_are_not_a_dict_raise(self, tables):
+        # 5 once ended in TypeError: argument of type 'int' is not iterable
+        with pytest.raises(ConfigError, match="dict of tables") as info:
+            quantum_constraints(tables)
+        assert echo(tables) in str(info.value)
+
+    def test_a_table_that_is_not_an_outcome_table_raises(self):
+        with pytest.raises(ConfigError, match="layout IO's table is 5,"):
+            quantum_constraints({**full_table(), "IO": 5})
+
 
 class TestAudit:
     def test_contradiction(self):
@@ -102,6 +114,16 @@ class TestAudit:
             verdict = audit(ConstraintSet(cs.zero_events,
                                           (setting, outcome, value)))
             assert verdict.contradiction
+
+
+    @pytest.mark.parametrize("cs", [5, None, ([], None)], ids=repr)
+    def test_a_value_that_is_not_a_constraint_set_raises(self, cs):
+        # 5 once ended in AttributeError: 'int' object has no attribute
+        # 'zero_events'
+        for call in (audit, audit_report):
+            with pytest.raises(ConfigError, match="needs a ConstraintSet") as info:
+                call(cs)
+            assert echo(cs) in str(info.value)
 
 
 class TestReport:

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from hardysim import amplitude, optics
-from hardysim.amplitude import EXACT, ExactScalar, I, INV_SQRT2, ONE
+from hardysim.amplitude import EXACT, FLOAT, ExactScalar, I, INV_SQRT2, ONE
 from hardysim.errors import ConfigError, ModeAliasingError
 from hardysim.optics import (MINUS, PLUS, apply_bs1_pair, bs_ket_map,
                              relabel_ket_map)
-from hardysim.state import ABSORBED, PathLabel, StateVector
+from hardysim.state import ABSORBED, DensityMatrix, PathLabel, StateVector
 from helpers import S, c, d, eq3_state, eq6_state, ket, random_state, u, v
 
 
@@ -164,6 +164,20 @@ class TestMemoizedKetMaps:
     def test_an_unhashable_arm_is_a_config_error(self):
         with pytest.raises(ConfigError, match="arm"):
             relabel_ket_map(EXACT, ["x"])
+
+    @pytest.mark.parametrize("kind", [StateVector, DensityMatrix])
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    @pytest.mark.parametrize("build", [bs1_ket_map, bs_ket_map, relabel_ket_map],
+                             ids=["bs1", "bs2", "relabel"])
+    def test_a_value_that_is_not_a_ket_raises(self, build, backend, kind):
+        # once AttributeError: 'int' object has no attribute 'is_absorbed'
+        ket_map = build(backend, PLUS)
+        one = amplitude.backend(backend).one
+        obj = (StateVector({5: one}) if kind is StateVector
+               else DensityMatrix({(5, 5): one}))
+        for call in (lambda: ket_map(5), lambda: obj.apply_ket_map(ket_map)):
+            with pytest.raises(ConfigError, match="5 is not a BasisKet"):
+                call()
 
 
 # Every element's image of one ket, written out by hand, by the label on

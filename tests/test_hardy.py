@@ -454,23 +454,38 @@ class TestFusedSecondStage:
 class TestCostModel:
     """Which elements apply a ket map, counted: a splitter in place applies
     one, and a removed one's relabeling is folded into the other arm's
-    splitter, so OO applies one pass through both relabelings; the channel
-    and the knowledge projection change only the doomed ket, so neither
-    applies one. The prepared state is built before
+    splitter, so OO applies one pass through both relabelings and is the
+    only layout with a pass that just renames kets; the channel and the
+    knowledge projection change only the doomed ket, so neither applies
+    one. The prepared state is built before
     counting. The table reads each cell, and at 0 < p < 1 the photon
     weight, by one probability call on a one-ket event."""
 
     CALLS = {"OO": 1, "IO": 1, "OI": 1, "II": 2}
+    RENAMES = {"OO": 1, "IO": 0, "OI": 0, "II": 0}
 
     @staticmethod
-    def calls_per_layout(monkeypatch, kind, backend, p):
-        """{layout: calls of kind.apply_ket_map in one run_scenario}."""
+    def renames(obj, ket_map):
+        """Whether ket_map takes every ket obj holds to one ket with
+        coefficient one, a pure relabeling."""
+        kets = (obj.amps if isinstance(obj, StateVector)
+                else {a for a, _ in obj.entries})
+        one = obj.backend.one
+        return all(len(image) == 1 and image[0][1] == one
+                   for image in map(tuple, map(ket_map, kets)))
+
+    @classmethod
+    def calls_per_layout(cls, monkeypatch, kind, backend, p,
+                         renames_only=False):
+        """{layout: calls of kind.apply_ket_map in one run_scenario}, or
+        with renames_only those calls whose map only relabels kets."""
         optics.apply_bs1_pair(backend)
         calls = []
         call = kind.apply_ket_map
 
         def counted(obj, ket_map):
-            calls.append(obj)
+            if not renames_only or cls.renames(obj, ket_map):
+                calls.append(obj)
             return call(obj, ket_map)
 
         monkeypatch.setattr(kind, "apply_ket_map", counted)
@@ -493,6 +508,15 @@ class TestCostModel:
                                              kind, p):
         assert self.calls_per_layout(monkeypatch, kind, backend,
                                      p) == self.CALLS
+
+    @pytest.mark.parametrize("kind, p", [(DensityMatrix, Fraction(1, 2)),
+                                         (StateVector, Fraction(1)),
+                                         (StateVector, Fraction(0))],
+                             ids=["interior", "endpoint-1", "endpoint-0"])
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    def test_renames_per_layout(self, monkeypatch, backend, kind, p):
+        assert self.calls_per_layout(monkeypatch, kind, backend, p,
+                                     renames_only=True) == self.RENAMES
 
     @pytest.mark.parametrize("kind, ps, photon", [
         (StateVector, [Fraction(0), Fraction(1)], []),

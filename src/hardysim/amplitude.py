@@ -256,16 +256,7 @@ def _rational_sqrt(n: int, d: int):
 
 def exact_sqrt(q: Fraction) -> ExactScalar:
     """sqrt(q) as an ExactScalar; only q = r^2 or q = 2 r^2 are in the field."""
-    n, d = q.numerator, q.denominator
-    if n >= 0:
-        r = _rational_sqrt(n, d)
-        if r is not None:
-            return _make(r[0], 0, 0, 0, r[1])
-        # sqrt(q) = sqrt(q/2) * sqrt2, with q/2 in lowest terms
-        r = _rational_sqrt(n // 2, d) if n % 2 == 0 else _rational_sqrt(n, 2 * d)
-        if r is not None:
-            return _make(0, 0, r[0], 0, r[1])
-    raise UnrepresentableError(f"sqrt({echo(q)}) is not in Q(i, sqrt2)")
+    return EXACT.sqrt(q.numerator, q.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +272,8 @@ class Backend(str):
     prints and JSON-dumps as that name. Each carries the scalars ``zero``,
     ``one``, ``i`` and ``inv_sqrt2`` and these operations:
 
-    - ``sqrt(q)``: sqrt(q) for a rational q >= 0;
+    - ``sqrt(n, d)`` and ``rational(n, d)``: sqrt(n/d) and n/d, for ints
+      n >= 0 and d > 0 in lowest terms (n / d rounds as float(Fraction));
     - ``prune(amps)``: the map without its zero values;
     - ``ratio(num, den)``: the real number num / den, den a squared norm.
     """
@@ -296,8 +288,19 @@ class _ExactBackend(Backend):
     i = I
     inv_sqrt2 = INV_SQRT2
 
-    def sqrt(self, q):
-        return exact_sqrt(q)
+    def sqrt(self, n, d):
+        if n >= 0:
+            r = _rational_sqrt(n, d)
+            if r is not None:
+                return _make(r[0], 0, 0, 0, r[1])
+            # sqrt(n/d) = sqrt(n/2d) * sqrt2, with n/2d in lowest terms
+            r = _rational_sqrt(n // 2, d) if n % 2 == 0 else _rational_sqrt(n, 2 * d)
+            if r is not None:
+                return _make(0, 0, r[0], 0, r[1])
+        raise UnrepresentableError(f"sqrt({echo(Fraction(n, d))}) is not in Q(i, sqrt2)")
+
+    def rational(self, n, d):
+        return _make(n, 0, 0, 0, d)
 
     def prune(self, amps):
         try:
@@ -316,8 +319,11 @@ class _FloatBackend(Backend):
     i = complex(0.0, 1.0)
     inv_sqrt2 = complex(1.0 / math.sqrt(2.0))
 
-    def sqrt(self, q):
-        return complex(math.sqrt(float(q)))
+    def sqrt(self, n, d):
+        return complex(math.sqrt(n / d))
+
+    def rational(self, n, d):
+        return complex(n / d)
 
     def prune(self, amps):
         """Also drops cancellation residues (see RESIDUE_REL)."""

@@ -21,6 +21,7 @@ from typing import Iterable
 from . import amplitude as amp
 from . import optics
 from .amplitude import EXACT
+from .errors import ConfigError, echo
 from .state import BasisKet, StateVector
 
 _UV, _VU = BasisKet(*optics.BS2_IN), BasisKet(*optics.BS2_IN[::-1])
@@ -30,9 +31,13 @@ _COINCIDENCE = (BasisKet(*optics.BS2_OUT), BasisKet(*optics.BS2_OUT[::-1]))
 def splitter_output(kets: Iterable[BasisKet],
                     backend: str = EXACT) -> StateVector:
     """The sum of the given kets, each with amplitude 1, after one 50/50
-    beam splitter (u, v -> c, d) on both arms."""
+    beam splitter (u, v -> c, d) on both arms; kets that are not an
+    iterable of hashable values raise ConfigError."""
     backend = amp.backend(backend)
-    sv = StateVector({k: backend.one for k in kets})
+    try:
+        sv = StateVector({k: backend.one for k in kets})
+    except TypeError:
+        raise ConfigError(f"splitter_output needs kets, got {echo(kets)}") from None
     for arm in (optics.PLUS, optics.MINUS):
         sv = sv.apply_ket_map(optics.bs_ket_map(backend, arm))
     return sv

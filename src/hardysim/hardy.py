@@ -93,7 +93,11 @@ class OutcomeTable:
     def conditioned(self) -> "OutcomeTable":
         if self.conditional:
             return self
-        total = sum(self.rows.values())
+        try:
+            total = sum(self.rows.values())
+        except (AttributeError, TypeError):
+            raise ConfigError(f"rows {echo(self.rows)} are not a dict of "
+                              f"probabilities") from None
         if total == 0:
             raise SimulationError("no surviving coincidences to condition on")
         rows = {k: v / total for k, v in self.rows.items()}

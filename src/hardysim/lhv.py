@@ -110,22 +110,26 @@ def audit(cs: ConstraintSet) -> Verdict:
 
     A strategy survives iff it triggers no zero event. The verdict is a
     contradiction iff no surviving strategy realizes the positive event
-    (pointwise, which by convexity covers all mixtures).
+    (pointwise, which by convexity covers all mixtures). Events that are
+    not (setting, outcome[, probability]) sequences raise ConfigError.
     """
     if not isinstance(cs, ConstraintSet):
         raise ConfigError(f"the audit needs a ConstraintSet, got {echo(cs)}")
     survivors: List[LocalStrategy] = []
     eliminations: Dict[LocalStrategy, Tuple[Setting, Outcome]] = {}
-    for strat in all_strategies():
-        killed = next((event for event in cs.zero_events
-                       if strat.outcome(event[0]) == event[1]), None)
-        if killed is None:
-            survivors.append(strat)
-        else:
-            eliminations[strat] = killed
-    positive = cs.positive_event
-    contradiction = positive is not None and positive[2] != 0 and not any(
-        s.outcome(positive[0]) == positive[1] for s in survivors)
+    try:
+        for strat in all_strategies():
+            killed = next((event for event in cs.zero_events
+                           if strat.outcome(event[0]) == event[1]), None)
+            if killed is None:
+                survivors.append(strat)
+            else:
+                eliminations[strat] = killed
+        positive = cs.positive_event
+        contradiction = positive is not None and positive[2] != 0 and not any(
+            s.outcome(positive[0]) == positive[1] for s in survivors)
+    except (TypeError, ValueError, IndexError):
+        raise ConfigError(f"malformed constraints {echo(cs)}") from None
     return Verdict(contradiction, survivors, eliminations)
 
 

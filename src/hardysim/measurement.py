@@ -25,18 +25,20 @@ DOOMED = BasisKet(PathLabel.u, PathLabel.u)
 
 
 def check_reaction_prob(p) -> Fraction:
-    """p as the equal Fraction; ConfigError unless p is a real number (not a
-    bool) that Fraction() reads (NaN and +-inf are not), SimulationError
-    outside [0, 1]. p is quoted only if it is short."""
-    if isinstance(p, bool) or not isinstance(p, numbers.Real):
-        raise ConfigError(f"reaction probability {echo(p)} "
-                          f"is not a real number")
-    try:
-        held = Fraction(p)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"reaction probability {echo(p)} "
-                          f"cannot be read as a rational") from None
-    if 0 <= held <= 1:
+    """p as the equal Fraction (a Fraction p as it is); ConfigError unless p
+    is a real number (not a bool) that Fraction() reads (NaN and +-inf are
+    not), SimulationError outside [0, 1]. p is quoted only if it is short."""
+    held = p
+    if type(p) is not Fraction:
+        if isinstance(p, bool) or not isinstance(p, numbers.Real):
+            raise ConfigError(f"reaction probability {echo(p)} "
+                              f"is not a real number")
+        try:
+            held = Fraction(p)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"reaction probability {echo(p)} "
+                              f"cannot be read as a rational") from None
+    if 0 <= held.numerator <= held.denominator:
         return held
     raise SimulationError(f"reaction probability {echo(p)} outside [0, 1]")
 
@@ -48,9 +50,10 @@ class AnnihilationChannel:
       pass:   |DOOMED> -> sqrt(1-p) |DOOMED>
       absorb: |DOOMED> -> sqrt(p)   |ABSORBED>
     Only the absorbed weight p is observable, so +sqrt(p) is formed only
-    when absorb_map is called. p is held as a Fraction; each map is formed
-    in the backend given, where sqrt(1-p) (and sqrt(p), for absorb_map)
-    must lie in Q(i, sqrt2) on the exact one, else UnrepresentableError.
+    when absorb_map is called. p = n/d is a Fraction, so 1-p = (d-n)/d is in
+    lowest terms too; each map is formed in the backend given from these
+    integers, where sqrt(1-p) (and sqrt(p), for absorb_map) must lie in
+    Q(i, sqrt2) on the exact one, else UnrepresentableError.
     """
 
     __slots__ = ("p",)
@@ -59,8 +62,8 @@ class AnnihilationChannel:
         self.p = check_reaction_prob(p)
 
     def pass_map(self, backend: str = EXACT):
-        backend = amp.backend(backend)
-        one, s = backend.one, backend.sqrt(1 - self.p)
+        backend, d = amp.backend(backend), self.p.denominator
+        one, s = backend.one, backend.sqrt(d - self.p.numerator, d)
 
         def ket_map(ket: BasisKet):
             return [(ket, s if ket == DOOMED else one)]
@@ -68,7 +71,7 @@ class AnnihilationChannel:
         return ket_map
 
     def absorb_map(self, backend: str = EXACT):
-        sqrt_p = amp.backend(backend).sqrt(self.p)
+        sqrt_p = amp.backend(backend).sqrt(self.p.numerator, self.p.denominator)
 
         def ket_map(ket: BasisKet):
             return [(ABSORBED, sqrt_p)] if ket == DOOMED else []
@@ -95,7 +98,7 @@ def project_knowledge(sv: StateVector,
                           f"got {type(ch).__name__}")
     if sv.is_zero():
         raise EmptyStateError("empty state")
-    s = sv.backend.sqrt(1 - ch.p)
+    s = sv.backend.sqrt(ch.p.denominator - ch.p.numerator, ch.p.denominator)
     amps = dict(sv.amps)
     doomed = amps.get(DOOMED)
     if doomed is not None:
@@ -112,13 +115,14 @@ def apply_channel(rho: DensityMatrix, ch: AnnihilationChannel) -> DensityMatrix:
     scales only DOOMED, by s = sqrt(1-p) in rho's arithmetic: the doomed row
     by s, the doomed column by conj(s), their corner by both; every other
     entry is kept. K_abs has one image, sqrt(p) |sink> of DOOMED, so it adds
-    p rho(DOOMED, DOOMED), with p in the entry's scalar type, to the sink."""
+    p rho(DOOMED, DOOMED), with p = n/d as rho's scalar, to the sink."""
     if not isinstance(rho, DensityMatrix):
         raise ConfigError(f"expected a DensityMatrix, got {type(rho).__name__}")
     if not isinstance(ch, AnnihilationChannel):
         raise ConfigError(f"expected an AnnihilationChannel, "
                           f"got {type(ch).__name__}")
-    s = rho.backend.sqrt(1 - ch.p)
+    n, d = ch.p.numerator, ch.p.denominator
+    s = rho.backend.sqrt(d - n, d)
     s_bar = s.conjugate()
     entries = dict(rho.entries)
     for (a, b), val in rho.entries.items():
@@ -128,7 +132,7 @@ def apply_channel(rho: DensityMatrix, ch: AnnihilationChannel) -> DensityMatrix:
             entries[(a, b)] = val * s_bar
     doomed = rho.entries.get((DOOMED, DOOMED))
     if doomed is not None:
-        term = doomed * ch.p
+        term = doomed * rho.backend.rational(n, d)
         cur = entries.get((ABSORBED, ABSORBED))
         entries[(ABSORBED, ABSORBED)] = term if cur is None else cur + term
     return DensityMatrix(entries)

@@ -59,6 +59,13 @@ class TestApplyBs:
         with pytest.raises(ConfigError, match="5 is not a BasisKet"):
             splitter_output([5], backend)
 
+    @pytest.mark.parametrize("kets", [5, [[u, v]]], ids=repr)
+    def test_kets_that_are_not_an_iterable_of_hashables_raise(self, kets):
+        # once TypeError: 'int' object is not iterable, or unhashable type
+        with pytest.raises(ConfigError, match="needs kets, got") as info:
+            splitter_output(kets)
+        assert len(str(info.value)) < 200
+
     def test_dump_lists_the_bunched_kets_in_order(self):
         out = splitter_output(SYMMETRIC)
         assert out.dump() == "e+:c e-:c | 1*i\ne+:d e-:d | 1*i"

@@ -1,7 +1,9 @@
 """Scenario orchestration over the four second-beam-splitter layouts."""
 
+import fractions
 import os
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -325,6 +327,13 @@ class TestOutcomeTable:
         with pytest.raises(SimulationError, match="no surviving coincidences"):
             table.conditioned()
 
+    @pytest.mark.parametrize("rows", [5, {("c", "c"): "a"}], ids=repr)
+    def test_conditioning_rows_that_are_not_probabilities_raises(self, rows):
+        # 5 once ended in AttributeError: 'int' object has no attribute 'values'
+        with pytest.raises(ConfigError, match="not a dict of probabilities") as info:
+            OutcomeTable(rows, 0, False, "II").conditioned()
+        assert echo(rows) in str(info.value)
+
     @pytest.mark.parametrize("backend", [EXACT, FLOAT])
     @pytest.mark.parametrize("cell", [("x", "y"), ("C", "d"), ("c", None),
                                       ([1], "c")], ids=repr)
@@ -377,6 +386,54 @@ class TestWorkBudget:
         for cfg in scenarios:
             run_scenario(cfg)
         assert made / len(scenarios) <= self.BUDGET
+
+
+class TestFractionCalls:
+    """Calls into fractions.py per scenario, counted, not timed, after the
+    ScenarioConfig is built; the numerator and denominator getters are left
+    out. The channel reads p's integers, so a float scenario's only calls
+    are the two Fraction.__eq__ of `p in (0, 1)`, and an exact one's are the
+    reading and scaling of exact rational probabilities: 9.58 per scenario
+    over the benchmark's exact sweep. Each prepared state's density matrix
+    is built before counting, as in TestWorkBudget."""
+
+    EXACT_BUDGET = 9.6
+
+    @staticmethod
+    def calls_per_scenario(scenarios):
+        for backend in (EXACT, FLOAT):
+            pure_to_density(optics.apply_bs1_pair(backend))
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            code = frame.f_code
+            if (event == "call" and code.co_filename == fractions.__file__
+                    and code.co_name not in ("numerator", "denominator")):
+                calls += 1
+
+        before = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            for cfg in scenarios:
+                run_scenario(cfg)
+        finally:
+            sys.setprofile(before)
+        return calls / len(scenarios)
+
+    @staticmethod
+    def sweep(ps, backend):
+        return [ScenarioConfig(plus, minus, p, backend) for p in ps
+                for plus in (False, True) for minus in (False, True)]
+
+    def test_float_scenario_calls(self):
+        ps = FLOAT_GOLDEN_PS + [Fraction(k, 10**6) for k in
+                                random.Random(36).sample(range(1, 10**6), 8)]
+        assert self.calls_per_scenario(self.sweep(ps, FLOAT)) == 2
+
+    def test_exact_scenario_calls(self):
+        calls = self.calls_per_scenario(self.sweep(EXACT_SWEEP_PS, EXACT))
+        assert calls <= self.EXACT_BUDGET
 
 
 def per_arm_stage(obj, bs2_plus, bs2_minus):

@@ -125,6 +125,18 @@ class TestAudit:
                 call(cs)
             assert echo(cs) in str(info.value)
 
+    @pytest.mark.parametrize("cs", [
+        ConstraintSet(5, 5), ConstraintSet([5], None),
+        ConstraintSet([(("in", "in"),)], None), ConstraintSet([], 5),
+        ConstraintSet([], (("in", "in"), ("c", "d")))], ids=repr)
+    def test_a_malformed_constraint_set_raises(self, cs):
+        # ConstraintSet(5, 5) once ended in TypeError: 'int' object is not
+        # iterable
+        for call in (audit, audit_report):
+            with pytest.raises(ConfigError, match="malformed constraints") as info:
+                call(cs)
+            assert echo(cs) in str(info.value)
+
 
 class TestReport:
     def test_report_shape(self):

@@ -1,6 +1,8 @@
 """Knowledge projection and the annihilation channel."""
 
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ from hardysim.errors import (AnnihilatedError, ConfigError, EmptyStateError,
                              SimulationError, UnrepresentableError)
 from hardysim.measurement import (DOOMED, AnnihilationChannel,
                                   annihilation_channel, apply_channel,
-                                  project_knowledge)
+                                  check_reaction_prob, project_knowledge)
 from hardysim.optics import apply_bs1_pair
 from hardysim.state import (ABSORBED, BasisKet, DensityMatrix, StateVector,
                             pure_to_density)
@@ -71,6 +73,70 @@ class TestProjectKnowledge:
         assert kept.amps == sv.amps
 
 
+class FractionKind(Fraction):
+    """A Fraction subclass, which check_reaction_prob reads as a plain one."""
+
+
+class TestCheckReactionProb:
+    """README's contract for p: any real p in [0, 1] that is not a bool is
+    held as the equal Fraction, and a Fraction as it is given; the wrong
+    type or an unreadable value raises ConfigError, a p outside [0, 1] a
+    plain SimulationError. Expected values and messages are literal."""
+
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 3), Fraction(1),
+                                   Fraction(1, 10**5000)],
+                             ids=["0", "1/3", "1", "1/10**5000"])
+    def test_a_fraction_in_range_comes_back_as_it_is(self, p):
+        assert check_reaction_prob(p) is p
+
+    @pytest.mark.parametrize("p, text", [
+        (Fraction(3, 2), "3/2"), (Fraction(-1, 3), "-1/3"),
+        (Fraction(10**5000), "(too long to quote)"),
+        (Fraction(-1, 10**5000), "(too long to quote)")],
+        ids=["3/2", "-1/3", "10**5000", "-1/10**5000"])
+    def test_a_fraction_out_of_range_raises(self, p, text):
+        with pytest.raises(SimulationError) as info:
+            check_reaction_prob(p)
+        assert type(info.value) is SimulationError
+        assert str(info.value) == f"reaction probability {text} outside [0, 1]"
+
+    def test_a_fraction_subclass_comes_back_as_a_plain_fraction(self):
+        held = check_reaction_prob(FractionKind(1, 3))
+        assert type(held) is Fraction and held == Fraction(1, 3)
+
+    @pytest.mark.parametrize("p, held", [
+        (0, Fraction(0)), (1, Fraction(1)), (0.5, Fraction(1, 2)),
+        (0.1, Fraction(3602879701896397, 36028797018963968)),
+        (1e-300, Fraction(1e-300))], ids=repr)
+    def test_an_int_or_float_is_held_as_the_equal_fraction(self, p, held):
+        got = check_reaction_prob(p)
+        assert type(got) is Fraction and got == held
+
+    @pytest.mark.parametrize("p, error, text", [
+        (2, SimulationError, "reaction probability 2 outside [0, 1]"),
+        (-1, SimulationError, "reaction probability -1 outside [0, 1]"),
+        (1.5, SimulationError, "reaction probability 1.5 outside [0, 1]"),
+        (10**5000, SimulationError,
+         "reaction probability (too long to quote) outside [0, 1]"),
+        (Decimal("0.25"), ConfigError,
+         "reaction probability Decimal('0.25') is not a real number"),
+        (True, ConfigError, "reaction probability True is not a real number"),
+        (False, ConfigError, "reaction probability False is not a real number"),
+        ("1/2", ConfigError, "reaction probability '1/2' is not a real number"),
+        (math.nan, ConfigError,
+         "reaction probability nan cannot be read as a rational"),
+        (math.inf, ConfigError,
+         "reaction probability inf cannot be read as a rational"),
+        (-math.inf, ConfigError,
+         "reaction probability -inf cannot be read as a rational"),
+    ], ids=["2", "-1", "1.5", "10**5000", "Decimal", "True", "False", "str",
+            "nan", "inf", "-inf"])
+    def test_other_values_raise_as_documented(self, p, error, text):
+        with pytest.raises(SimulationError) as info:
+            check_reaction_prob(p)
+        assert type(info.value) is error and str(info.value) == text
+
+
 class TestChannelConstruction:
     def test_p_one_is_the_projector(self):
         ch = annihilation_channel(Fraction(1))
@@ -95,7 +161,7 @@ class TestChannelConstruction:
         # comes down to |sqrt(1-p)|^2 + |sqrt(p)|^2 = 1
         ch = annihilation_channel(p)
         pass_map, absorb_map = ch.pass_map(), ch.absorb_map()
-        keep = EXACT.sqrt(1 - p)
+        keep = root(EXACT, 1 - p)
         [(sink, absorb)] = absorb_map(DOOMED)
         assert keep * keep.conjugate() + absorb * absorb.conjugate() == ONE
         assert pass_map(DOOMED) == [(DOOMED, keep)]
@@ -205,13 +271,18 @@ class TestApplyChannel:
         assert out.diagonal_probability(diagonal_kets(out)) == 1
 
 
+def root(backend, q):
+    """sqrt(q) for a Fraction q >= 0, in backend's scalars."""
+    return backend.sqrt(q.numerator, q.denominator)
+
+
 def dense_channel(rho, p, backend):
     """K_pass rho K_pass^dagger + K_abs rho K_abs^dagger, entry by entry: a
     sum over every (a, b) of K(a2, a) rho(a, b) K(b2, b)* for both Kraus
     elements, written out as matrices over the kets rho holds plus the sink."""
     arith = amp.backend(backend)
     zero, one = arith.zero, arith.one
-    s, r = arith.sqrt(1 - p), arith.sqrt(p)
+    s, r = root(arith, 1 - p), root(arith, p)
 
     def k_pass(a2, a):
         return zero if a2 != a else s if a == DOOMED else one
@@ -312,12 +383,52 @@ class TestApplyChannelAgainstAllEntries:
                     all_entries_channel(rho, ch).entries.items())
 
 
+def seeded_ps(count, seed):
+    """count rationals in (0, 1) with denominators from 2 up to 30 digits."""
+    rng = random.Random(seed)
+    ps = []
+    for _ in range(count):
+        d = rng.randrange(2, 10 ** rng.randrange(1, 31) + 2)
+        ps.append(Fraction(rng.randrange(1, d), d))
+    return ps
+
+
+class TestFloatScalarsBitForBit:
+    """On the float backend the channel's s and sink weight are formed from
+    p = n/d's integers; they equal what float(p) gives bit for bit:
+    s = complex(math.sqrt(float(1 - p))) in pass_map, project_knowledge and
+    apply_channel, and the sink term doomed * complex(float(p)). Checked
+    over 1000 seeded p and three edges: a p whose float is tiny, one that
+    underflows to 0.0, and one whose 1 - p rounds to 1.0. golden/float-sweep
+    .txt pins eight p only. Values are compared by repr, so -0.0 and the
+    last bit count."""
+
+    PS = seeded_ps(1000, 36) + [Fraction(1, 10**300), Fraction(1, 10**400),
+                                1 - Fraction(1, 10**17)]
+
+    def test_s_and_the_sink_weight(self):
+        doomed, other = complex(0.3, -0.7), ket(v, v)
+        for p in self.PS:
+            ch = annihilation_channel(p)
+            s = complex(math.sqrt(float(1 - p)))
+            assert repr(ch.pass_map(FLOAT)(DOOMED)) == repr([(DOOMED, s)])
+            kept, _ = project_knowledge(StateVector({DOOMED: FLOAT.one}), ch)
+            assert repr(kept.amps) == repr({DOOMED: s})
+            out = apply_channel(DensityMatrix({(DOOMED, other): FLOAT.one,
+                                               (DOOMED, DOOMED): doomed}), ch)
+            want = DensityMatrix({(DOOMED, other): FLOAT.one * s,
+                                  (DOOMED, DOOMED): doomed * s * s.conjugate(),
+                                  (ABSORBED, ABSORBED): doomed * complex(float(p))})
+            assert repr(list(out.entries.items())) == repr(
+                list(want.entries.items()))
+
+
 class TestOneChannelOnBothBackends:
     """A channel holds only p, so one channel object acts on the exact and
     on the float prepared state, each in its own arithmetic; an exact
     channel once raised TypeError on a float state. Each result is what a
     channel of the state's own backend gave: the doomed amplitude, row and
-    column scaled by s = backend.sqrt(1 - p), the same values bit for bit
+    column scaled by s = sqrt(1 - p) in the backend, the same values bit for bit
     (compared by repr, so -0.0 is not 0.0) in the same order. A seeded p
     outside exact_sweep has no exact s, so it runs on the float state."""
 
@@ -329,7 +440,7 @@ class TestOneChannelOnBothBackends:
         ch = annihilation_channel(p)
         for backend in (FLOAT, EXACT) if p in EXACT_SWEEP_PS else (FLOAT,):
             sv = apply_bs1_pair(backend)
-            s = backend.sqrt(1 - p)
+            s = root(backend, 1 - p)
             want = StateVector({k: a * s if k == DOOMED else a
                                 for k, a in sv.amps.items()})
             kept, survival = project_knowledge(sv, ch)

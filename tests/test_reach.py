@@ -65,6 +65,8 @@ UNREACHED = {
     "hardysim.amplitude:ExactScalar.__reduce__":
         "copy/pickle: __setattr__ blocks the default slot restore",
     "hardysim.amplitude:ExactScalar.__repr__": SHOWN,
+    "hardysim.amplitude:exact_sqrt":
+        "public API: sqrt of a Fraction, which bench/worker.py times; the backends take n and d",
     "hardysim.hardy:OutcomeTable.__eq__":
         "public API: an exported OutcomeTable compares by value, not identity",
     "hardysim.hardy:OutcomeTable.__repr__": SHOWN,
